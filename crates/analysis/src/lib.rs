@@ -1,7 +1,7 @@
 //! Guest-binary static analysis for the Coyote simulator.
 //!
-//! The simulator's parallel orchestrator proves at *runtime*, every
-//! window, that concurrently executed cores never touched the same
+//! The simulator's orchestrator proves at *runtime*, every fused
+//! window, that the cores retiring together never touch the same
 //! byte. This crate moves that proof to *load time* when the workload
 //! allows: it recovers a control-flow graph from the predecoded text,
 //! runs a strided-interval abstract interpretation per core (with

@@ -12,8 +12,6 @@
 //!   --mesh WxH           use a 2D mesh NoC instead of the crossbar
 //!   --prefetch N         L2 next-line prefetch degree (default 0)
 //!   --interleave N       instructions per core per cycle (default 1)
-//!   --jobs N             host threads for the execute phase (default 1;
-//!                        results are bit-identical for any value)
 //!   --max-cycles N       cycle budget (default 2e9)
 //!   --trace FILE         write a Paraver trace to FILE(.prv/.pcf)
 //!   --metrics-out FILE   write telemetry metrics to FILE(.json/.csv)
@@ -155,13 +153,6 @@ fn parse_args() -> Result<Options, String> {
                         .map_err(|e| format!("--interleave: {e}"))?,
                 );
             }
-            "--jobs" => {
-                builder = builder.jobs(
-                    value(&mut args, "--jobs")?
-                        .parse()
-                        .map_err(|e| format!("--jobs: {e}"))?,
-                );
-            }
             "--max-cycles" => {
                 builder = builder.max_cycles(
                     value(&mut args, "--max-cycles")?
@@ -254,7 +245,6 @@ fn parse_args() -> Result<Options, String> {
                 println!("  --mesh WxH           2D mesh NoC instead of the crossbar");
                 println!("  --prefetch N         L2 next-line prefetch degree (default 0)");
                 println!("  --interleave N       instructions per core per cycle (default 1)");
-                println!("  --jobs N             host threads for the execute phase (default 1)");
                 println!("  --max-cycles N       cycle budget");
                 println!("  --trace FILE         write a Paraver trace to FILE(.prv/.pcf)");
                 println!("  --metrics-out FILE   write telemetry metrics to FILE(.json/.csv)");

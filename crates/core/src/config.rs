@@ -82,31 +82,22 @@ pub struct SimConfig {
     /// Whether the superblock fusion fast path may retire validated
     /// straight-line runs through [`coyote_iss::Core`]'s fused
     /// dispatch and the orchestrator's multi-cycle windows. A
-    /// host-execution knob like `jobs`: every cycle count, digest and
-    /// exported metric is bit-identical either way (property-tested),
-    /// only wall time changes. On by default; `false` forces the
-    /// per-instruction path everywhere (the A/B reference).
+    /// host-execution knob: every cycle count, digest and exported
+    /// metric is bit-identical either way (property-tested), only wall
+    /// time changes. On by default; `false` forces the per-instruction
+    /// path everywhere (the A/B reference).
     pub fusion: bool,
-    /// Host worker threads stepping the cores each cycle (must be at
-    /// least 1). `jobs = 1` is the sequential orchestrator; larger
-    /// values shard the per-cycle core loop across a fixed worker pool
-    /// while store-buffer commit, miss-buffer merge, and conflict
-    /// fallback keep every observable result bit-identical to
-    /// `jobs = 1`. A host-execution knob only: it never appears in
-    /// exported metrics or the determinism digest.
-    pub jobs: usize,
     /// Host-side self-profiling mode (see `coyote-prof`). A
-    /// host-execution knob like `jobs`: it never appears in the
-    /// determinism digest or in `config_json`, and turning it on must
-    /// not change any simulated result — the only observable addition
-    /// is the `host_profile` metrics section (property-tested).
+    /// host-execution knob: it never appears in the determinism digest
+    /// or in `config_json`, and turning it on must not change any
+    /// simulated result — the only observable addition is the
+    /// `host_profile` metrics section (property-tested).
     pub profiling: ProfMode,
     /// Whether to run the static disjointness analysis at load time
     /// and, when it proves all cross-core write/any access pairs
-    /// disjoint, skip the runtime conflict sweeps (the parallel
-    /// execute phase's byte sweep and the fused window's cross-core
-    /// check). A host-execution knob like `jobs`: the certificate is
-    /// only ever granted when the sweeps provably cannot fire, so
+    /// disjoint, skip the fused window's runtime cross-core conflict
+    /// sweep. A host-execution knob like `profiling`: the certificate
+    /// is only ever granted when the sweep provably cannot fire, so
     /// every simulated result is bit-identical either way
     /// (property-tested); it never appears in the determinism digest
     /// or `config_json`. Off by default — the analysis costs load
@@ -116,7 +107,7 @@ pub struct SimConfig {
 
 /// How the host-side self-profiler observes the orchestrator.
 ///
-/// A host-execution knob like [`SimConfig::jobs`]: excluded from the
+/// A host-execution knob like [`SimConfig::certify`]: excluded from the
 /// determinism digest and from `config_json`, and forbidden from
 /// feeding back into simulated state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -160,7 +151,6 @@ impl Default for SimConfig {
             perturb_seed: 0,
             attribution_top_k: 32,
             fusion: true,
-            jobs: 1,
             profiling: ProfMode::Off,
             certify: false,
         }
@@ -224,9 +214,6 @@ impl SimConfig {
         }
         if self.attribution_top_k == 0 {
             return Err(ConfigError::new("attribution_top_k must be at least 1"));
-        }
-        if self.jobs == 0 {
-            return Err(ConfigError::new("jobs must be at least 1"));
         }
         self.core
             .l1i
@@ -455,14 +442,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the host worker-thread count for the per-cycle core loop
-    /// (1 = sequential stepping, today's behavior).
-    #[must_use]
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.config.jobs = jobs;
-        self
-    }
-
     /// Sets the host-side self-profiling mode (off by default).
     #[must_use]
     pub fn profiling(mut self, mode: ProfMode) -> Self {
@@ -472,7 +451,7 @@ impl SimConfigBuilder {
 
     /// Enables or disables load-time disjointness certification (off
     /// by default; a granted certificate skips the runtime conflict
-    /// sweeps without changing any simulated result).
+    /// sweep without changing any simulated result).
     #[must_use]
     pub fn certify(mut self, certify: bool) -> Self {
         self.config.certify = certify;
@@ -539,12 +518,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("metrics_interval"));
-    }
-
-    #[test]
-    fn zero_jobs_rejected() {
-        let err = SimConfig::builder().jobs(0).build().unwrap_err();
-        assert!(err.to_string().contains("jobs"));
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub mod attr;
 pub mod config;
 pub mod flight;
 pub mod metrics;
-mod par;
 pub mod report;
 pub mod sim;
 pub mod trace;

@@ -1,11 +1,10 @@
 //! Equivalence tests for static disjointness certificates: a certified
-//! run skips the dynamic conflict sweeps (`par::conflicting` and the
-//! fused-window byte sweep), so it must be bit-identical to the swept
-//! schedule — same determinism digest, byte-identical metrics JSON —
-//! across sequential and parallel execute phases and under schedule
-//! perturbation. A contended kernel must be *denied* the certificate,
-//! and its runs must also stay identical (the flag alone changes
-//! nothing).
+//! run skips the dynamic fused-window conflict sweep, so it must be
+//! bit-identical to the swept schedule — same determinism digest,
+//! byte-identical metrics JSON — with and without the oracle and under
+//! schedule perturbation. A contended kernel must be *denied* the
+//! certificate, and its runs must also stay identical (the flag alone
+//! changes nothing).
 
 use std::time::Duration;
 
@@ -38,7 +37,7 @@ const PARTITIONED: &str = "
 
 /// Contended kernel: every hart read-modify-writes the SAME dword.
 /// The write footprints provably intersect, so no certificate may be
-/// granted and the dynamic sweeps must keep running.
+/// granted and the dynamic sweep must keep running.
 const CONTENDED: &str = "
     .data
     hot: .dword 0
@@ -64,18 +63,10 @@ struct RunResult {
     exits: Option<Vec<i64>>,
 }
 
-fn run(
-    src: &str,
-    cores: usize,
-    jobs: usize,
-    certify: bool,
-    perturb: u64,
-    oracle: bool,
-) -> RunResult {
+fn run(src: &str, cores: usize, certify: bool, perturb: u64, oracle: bool) -> RunResult {
     let program = coyote_asm::assemble(src).expect("assemble");
     let config = SimConfig::builder()
         .cores(cores)
-        .jobs(jobs)
         .certify(certify)
         .perturb_seed(perturb)
         .oracle(oracle)
@@ -96,38 +87,33 @@ fn run(
 
 #[test]
 fn partitioned_kernel_earns_a_certificate_and_matches_the_swept_run() {
-    let swept = run(PARTITIONED, 4, 1, false, 0, true);
+    let swept = run(PARTITIONED, 4, false, 0, true);
     assert!(
         !swept.certified,
         "certify off must never report a certificate"
     );
-    for jobs in [1, 4] {
-        let certified = run(PARTITIONED, 4, jobs, true, 0, true);
-        assert!(
-            certified.certified,
-            "hart-partitioned slices must be statically separable (jobs={jobs})"
-        );
-        assert_eq!(certified.exits, swept.exits);
-        assert_eq!(
-            certified.digest, swept.digest,
-            "certified digest diverged (jobs={jobs})"
-        );
-        assert_eq!(
-            certified.metrics, swept.metrics,
-            "certified metrics bytes diverged (jobs={jobs})"
-        );
-    }
+    let certified = run(PARTITIONED, 4, true, 0, true);
+    assert!(
+        certified.certified,
+        "hart-partitioned slices must be statically separable"
+    );
+    assert_eq!(certified.exits, swept.exits);
+    assert_eq!(certified.digest, swept.digest, "certified digest diverged");
+    assert_eq!(
+        certified.metrics, swept.metrics,
+        "certified metrics bytes diverged"
+    );
 }
 
 #[test]
 fn contended_kernel_is_denied_a_certificate() {
-    let swept = run(CONTENDED, 4, 4, false, 0, true);
-    let flagged = run(CONTENDED, 4, 4, true, 0, true);
+    let swept = run(CONTENDED, 4, false, 0, true);
+    let flagged = run(CONTENDED, 4, true, 0, true);
     assert!(
         !flagged.certified,
         "provably intersecting write footprints must be denied"
     );
-    // Denial means the sweeps keep running; nothing may change.
+    // Denial means the sweep keeps running; nothing may change.
     assert_eq!(flagged.digest, swept.digest);
     assert_eq!(flagged.metrics, swept.metrics);
 }
@@ -135,10 +121,10 @@ fn contended_kernel_is_denied_a_certificate() {
 #[test]
 fn certificate_holds_through_fused_windows() {
     // Without the oracle the fused-window path runs, whose
-    // `window_conflicts` sweep is also certificate-gated; the window
+    // `window_conflicts` sweep is certificate-gated; the window
     // outcome must still be bit-identical to the swept schedule.
-    let swept = run(PARTITIONED, 4, 4, false, 0, false);
-    let certified = run(PARTITIONED, 4, 4, true, 0, false);
+    let swept = run(PARTITIONED, 4, false, 0, false);
+    let certified = run(PARTITIONED, 4, true, 0, false);
     assert!(certified.certified);
     assert_eq!(certified.digest, swept.digest);
     assert_eq!(certified.metrics, swept.metrics);
@@ -151,13 +137,11 @@ proptest! {
     fn certified_runs_match_under_perturbation(
         perturb in any::<u64>(),
         cores in 2usize..7,
-        parallel in proptest::bool::ANY,
         contended in proptest::bool::ANY,
     ) {
         let src = if contended { CONTENDED } else { PARTITIONED };
-        let jobs = if parallel { 4 } else { 1 };
-        let swept = run(src, cores, jobs, false, perturb, false);
-        let certified = run(src, cores, jobs, true, perturb, false);
+        let swept = run(src, cores, false, perturb, false);
+        let certified = run(src, cores, true, perturb, false);
         // Exactly the separable kernel earns the certificate (for a
         // single core there is no other footprint to intersect, so the
         // contended kernel is trivially separable too — cores >= 2

@@ -116,6 +116,39 @@ fn assembly_errors_point_at_the_line() {
 }
 
 #[test]
+fn misaligned_jump_is_reported_at_the_jump() {
+    // Without the C extension the jump itself faults; the error must
+    // not describe a fetch of whatever lies at the misaligned target.
+    for (name, source, target) in [
+        (
+            "misaligned-jalr.s",
+            "_start:\n li t0, 6\n jalr x0, 0(t0)",
+            "0x6",
+        ),
+        (
+            "misaligned-jalr-far.s",
+            "_start:\n li t0, 0x1002\n jalr x0, 0(t0)",
+            "0x1002",
+        ),
+    ] {
+        let path = write_temp_program(name, source);
+        let output = Command::new(sim_binary())
+            .arg(&path)
+            .output()
+            .expect("spawn coyote-sim");
+        assert_eq!(output.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!(
+                "instruction-address-misaligned jump target {target}"
+            )),
+            "stderr: {stderr}"
+        );
+        assert!(!stderr.contains("illegal instruction"), "stderr: {stderr}");
+    }
+}
+
+#[test]
 fn every_documented_flag_parses() {
     let path = write_temp_program(
         "flags.s",

@@ -1,10 +1,14 @@
 //! The host-profiler's non-negotiable invariant: profiling is pure
-//! observation. For arbitrary machine shapes, kernels, job counts, and
-//! perturbation seeds, a profiled run (wall or counter clock) must
-//! yield a bit-identical determinism digest and byte-identical metrics
-//! JSON — once the `host_profile` section itself is stripped — to the
-//! same run with profiling off. Host clock reads must never leak into
+//! observation. For arbitrary machine shapes, kernels and perturbation
+//! seeds, a profiled run (wall or counter clock) must yield a
+//! bit-identical determinism digest and byte-identical metrics JSON —
+//! once the `host_profile` section itself is stripped — to the same
+//! run with profiling off. Host clock reads must never leak into
 //! simulated state.
+//!
+//! The same machines and kernels also pin the superblock fast path to
+//! its reference: fused windows must match plain per-instruction
+//! stepping once the translation-coverage counters are stripped.
 
 use std::time::Duration;
 
@@ -16,6 +20,7 @@ struct Machine {
     cores: usize,
     sharing: L2Sharing,
     iterations: u64,
+    stride: u64,
 }
 
 fn machine_strategy() -> impl Strategy<Value = Machine> {
@@ -23,16 +28,19 @@ fn machine_strategy() -> impl Strategy<Value = Machine> {
         2usize..9,
         prop_oneof![Just(L2Sharing::Shared), Just(L2Sharing::Private)],
         4u64..32,
+        prop_oneof![Just(8u64), Just(64), Just(72)],
     )
-        .prop_map(|(cores, sharing, iterations)| Machine {
+        .prop_map(|(cores, sharing, iterations, stride)| Machine {
             cores,
             sharing,
             iterations,
+            stride,
         })
 }
 
-/// Hart-partitioned load/store kernel (no conflicts) or a contended
-/// one-dword kernel (conflict fallbacks every parallel cycle).
+/// Hart-partitioned load/store kernel walking its slice at the
+/// machine's stride (no cross-core overlap), or a contended one-dword
+/// kernel (every fused window aborts on a cross-core conflict).
 fn kernel(machine: &Machine, contended: bool) -> String {
     if contended {
         format!(
@@ -71,13 +79,14 @@ fn kernel(machine: &Machine, contended: bool) -> String {
                 ld t4, 0(t1)
                 addi t4, t4, 1
                 sd t4, 0(t1)
-                addi t1, t1, 64
+                addi t1, t1, {stride}
                 addi t3, t3, -1
                 bnez t3, loop
                 mv a0, t0
                 li a7, 93
                 ecall",
             iters = machine.iterations,
+            stride = machine.stride,
         )
     }
 }
@@ -105,7 +114,6 @@ fn strip_host_profile(doc: JsonValue) -> JsonValue {
 fn run(
     src: &str,
     machine: &Machine,
-    jobs: usize,
     profiling: ProfMode,
     perturb: u64,
 ) -> (u64, String, JsonValue) {
@@ -116,7 +124,6 @@ fn run(
         .perturb_seed(perturb)
         .telemetry(true)
         .metrics_interval(64)
-        .jobs(jobs)
         .profiling(profiling)
         .build()
         .expect("valid config");
@@ -128,12 +135,55 @@ fn run(
     (sim.determinism_digest(), json, doc)
 }
 
+/// Runs `src` with superblock fusion on or off (no oracle: fused
+/// *windows* are gated off under the oracle, and the point here is
+/// comparing window execution against plain per-instruction stepping),
+/// returning the digest and metrics JSON bytes.
+fn run_fusion(src: &str, machine: &Machine, fusion: bool, perturb: u64) -> (u64, String) {
+    let program = coyote_asm::assemble(src).expect("assemble");
+    let config = SimConfig::builder()
+        .cores(machine.cores)
+        .sharing(machine.sharing)
+        .fusion(fusion)
+        .perturb_seed(perturb)
+        .telemetry(true)
+        .metrics_interval(64)
+        .build()
+        .expect("valid config");
+    let mut sim = Simulation::new(config, &program).expect("create sim");
+    let mut report = sim.run().expect("run completes");
+    report.wall_time = Duration::ZERO;
+    let json = coyote::metrics_json(&sim, &report).to_string_pretty();
+    (sim.determinism_digest(), json)
+}
+
+/// Drops the translation-coverage counters (`fused_retired`,
+/// `block_hit_rate`) and the `fusion` config echo from pretty-printed
+/// metrics JSON: they report how much work took the fused path (and
+/// whether it was enabled), so they legitimately differ between fusion
+/// on and off while every model-output field must not.
+fn strip_coverage_counters(json: &str) -> String {
+    let stripped: Vec<&str> = json
+        .lines()
+        .filter(|l| {
+            !l.contains("fused_retired")
+                && !l.contains("block_hit_rate")
+                && !l.contains("\"fusion\"")
+        })
+        .collect();
+    assert!(
+        stripped.len() < json.lines().count(),
+        "coverage counters missing from metrics JSON — schema drifted"
+    );
+    stripped.join("\n")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The tentpole invariant: Off vs Wall vs Counter, sequential and
-    /// parallel, partitioned and contended, perturbed and canonical —
-    /// same digest, same metrics bytes.
+    /// The tentpole invariant: Off vs Wall vs Counter, partitioned and
+    /// contended, perturbed and canonical — same digest, same metrics
+    /// bytes.
     #[test]
     fn profiling_never_perturbs_the_simulation(
         machine in machine_strategy(),
@@ -141,105 +191,94 @@ proptest! {
         perturb in prop_oneof![Just(0u64), 1u64..u64::MAX],
     ) {
         let src = kernel(&machine, contended);
-        for jobs in [1usize, 4] {
-            let (off_digest, off_json, off_doc) =
-                run(&src, &machine, jobs, ProfMode::Off, perturb);
+        let (off_digest, off_json, off_doc) = run(&src, &machine, ProfMode::Off, perturb);
+        prop_assert_eq!(
+            off_doc.get("host_profile"),
+            Some(&JsonValue::Null),
+            "unprofiled run must export a null host_profile"
+        );
+        for mode in [ProfMode::Wall, ProfMode::Counter] {
+            let (digest, json, doc) = run(&src, &machine, mode, perturb);
             prop_assert_eq!(
-                off_doc.get("host_profile"),
-                Some(&JsonValue::Null),
-                "unprofiled run must export a null host_profile"
+                digest, off_digest,
+                "profiling leaked into the digest (mode={:?})",
+                mode
             );
-            for mode in [ProfMode::Wall, ProfMode::Counter] {
-                let (digest, json, doc) = run(&src, &machine, jobs, mode, perturb);
-                prop_assert_eq!(
-                    digest, off_digest,
-                    "profiling leaked into the digest (mode={:?}, jobs={})",
-                    mode, jobs
-                );
-                prop_assert_eq!(
-                    &json, &off_json,
-                    "profiling leaked into the metrics JSON (mode={:?}, jobs={})",
-                    mode, jobs
-                );
-                prop_assert!(
-                    doc.get("host_profile") != Some(&JsonValue::Null),
-                    "profiled run exported no host_profile section"
-                );
-            }
+            prop_assert_eq!(
+                &json, &off_json,
+                "profiling leaked into the metrics JSON (mode={:?})",
+                mode
+            );
+            prop_assert!(
+                doc.get("host_profile") != Some(&JsonValue::Null),
+                "profiled run exported no host_profile section"
+            );
         }
     }
 }
 
-/// Deterministic regression twin of the proptest: the exact fixed
-/// shape the CI smoke uses, checked without proptest's shrinking in
-/// the way.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn fused_blocks_match_per_instruction_stepping(
+        machine in machine_strategy(),
+        contended in any::<bool>(),
+        perturb in prop_oneof![Just(0u64), 1u64..u64::MAX],
+    ) {
+        // Reference: fusion off, canonical schedule — the plain
+        // per-instruction interleaving the fused run must equal.
+        let src = kernel(&machine, contended);
+        let (ref_digest, ref_json) = run_fusion(&src, &machine, false, 0);
+        let (digest, json) = run_fusion(&src, &machine, true, perturb);
+        prop_assert_eq!(
+            digest, ref_digest,
+            "fused run diverged from per-instruction stepping"
+        );
+        prop_assert_eq!(
+            strip_coverage_counters(&json), strip_coverage_counters(&ref_json),
+            "fused metrics JSON diverged"
+        );
+    }
+}
+
+/// Pinned shape a fused-window proptest once shrank to: eight cores
+/// on private L2s hammering one dword.
+#[test]
+fn fused_contended_private_l2_matches_per_instruction_stepping() {
+    let machine = Machine {
+        cores: 8,
+        sharing: L2Sharing::Private,
+        iterations: 10,
+        stride: 64,
+    };
+    let src = kernel(&machine, true);
+    let (ref_digest, ref_json) = run_fusion(&src, &machine, false, 0);
+    let (digest, json) = run_fusion(&src, &machine, true, 0);
+    assert_eq!(digest, ref_digest, "fused run diverged");
+    assert_eq!(
+        strip_coverage_counters(&json),
+        strip_coverage_counters(&ref_json),
+        "fused metrics JSON diverged"
+    );
+}
+
+/// Deterministic regression twin of the profiling proptest: the exact
+/// fixed shape the CI smoke uses, checked without proptest's shrinking
+/// in the way.
 #[test]
 fn profiled_contended_run_matches_unprofiled() {
     let machine = Machine {
         cores: 4,
         sharing: L2Sharing::Shared,
         iterations: 24,
+        stride: 64,
     };
     let src = kernel(&machine, true);
-    let (off_digest, off_json, _) = run(&src, &machine, 4, ProfMode::Off, 0);
+    let (off_digest, off_json, _) = run(&src, &machine, ProfMode::Off, 0);
     for mode in [ProfMode::Wall, ProfMode::Counter] {
-        let (digest, json, _) = run(&src, &machine, 4, mode, 0);
+        let (digest, json, _) = run(&src, &machine, mode, 0);
         assert_eq!(digest, off_digest, "digest diverged ({mode:?})");
         assert_eq!(json, off_json, "metrics JSON diverged ({mode:?})");
-    }
-}
-
-/// Counter-mode profiles are a pure function of the simulated
-/// schedule, so every simulation-derived section must be byte-stable
-/// across job counts: the per-core fused-pipeline diagnostics, the
-/// abort-reason taxonomy, the chunk-/run-length distributions, and
-/// the event-pop total. Only the phase *tree* may differ (jobs = 4
-/// takes the parallel phases; jobs = 1 never enters them).
-#[test]
-fn counter_profiles_aggregate_by_core_order_across_jobs() {
-    let machine = Machine {
-        cores: 4,
-        sharing: L2Sharing::Shared,
-        iterations: 24,
-    };
-    for contended in [false, true] {
-        let src = kernel(&machine, contended);
-        let (seq_digest, _, seq_doc) = run(&src, &machine, 1, ProfMode::Counter, 0);
-        let (par_digest, _, par_doc) = run(&src, &machine, 4, ProfMode::Counter, 0);
-        assert_eq!(
-            seq_digest, par_digest,
-            "digest diverged (contended={contended})"
-        );
-        let seq = seq_doc.get("host_profile").expect("profiled");
-        let par = par_doc.get("host_profile").expect("profiled");
-        for section in [
-            "per_core",
-            "abort_reasons",
-            "chunk_lengths",
-            "run_lengths",
-            "event_pops",
-        ] {
-            let a = seq.get(section).expect("section present");
-            let b = par.get(section).expect("section present");
-            assert_eq!(
-                a.to_string_pretty(),
-                b.to_string_pretty(),
-                "host_profile.{section} depends on the job count (contended={contended})"
-            );
-        }
-        // And the phase trees do legitimately differ in shape: the
-        // parallel run enters phases the sequential one never has.
-        let seq_phases = seq.get("phases").expect("phases").to_string_pretty();
-        let par_phases = par.get("phases").expect("phases").to_string_pretty();
-        if contended {
-            assert!(
-                par_phases.contains("conflict_check"),
-                "jobs=4 must enter the parallel conflict-check phase"
-            );
-        }
-        assert!(
-            !seq_phases.contains("shard_step"),
-            "jobs=1 must never enter the parallel shard phase"
-        );
     }
 }

@@ -1,6 +1,6 @@
 //! The introspection plane's non-negotiable invariant: watching a run
-//! is pure observation. For arbitrary machine shapes, kernels, job
-//! counts and perturbation seeds, a run with a live status stream
+//! is pure observation. For arbitrary machine shapes, kernels and
+//! perturbation seeds, a run with a live status stream
 //! attached must yield a bit-identical determinism digest and
 //! byte-identical metrics JSON to the same run without one — host
 //! clock reads inside the emitter must never leak into simulated
@@ -9,6 +9,7 @@
 //! schedule would fail these comparisons too.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use coyote::{JsonValue, L2Sharing, SimConfig, Simulation, StatusEmitter};
@@ -35,7 +36,8 @@ fn machine_strategy() -> impl Strategy<Value = Machine> {
 }
 
 /// Hart-partitioned load/store kernel (no conflicts) or a contended
-/// one-dword kernel (conflict fallbacks every parallel cycle).
+/// one-dword kernel (every fused window aborts on a cross-core
+/// conflict).
 fn kernel(machine: &Machine, contended: bool) -> String {
     if contended {
         format!(
@@ -85,16 +87,20 @@ fn kernel(machine: &Machine, contended: bool) -> String {
     }
 }
 
-fn temp_status_path(tag: &str) -> PathBuf {
+/// A status file no concurrently running test shares: the harness runs
+/// tests on threads of one process, so the pid alone is not unique.
+fn temp_status_path() -> PathBuf {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join("coyote-status-invariance");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join(format!("{}-{tag}.jsonl", std::process::id()))
+    dir.join(format!("{}-{call}.jsonl", std::process::id()))
 }
 
 /// Runs `src` with or without a status stream attached, returning the
 /// determinism digest and the metrics JSON bytes with wall time zeroed
 /// (host observation, not model output).
-fn run(src: &str, machine: &Machine, jobs: usize, perturb: u64, status: bool) -> (u64, String) {
+fn run(src: &str, machine: &Machine, perturb: u64, status: bool) -> (u64, String) {
     let program = coyote_asm::assemble(src).expect("assemble");
     let config = SimConfig::builder()
         .cores(machine.cores)
@@ -102,11 +108,10 @@ fn run(src: &str, machine: &Machine, jobs: usize, perturb: u64, status: bool) ->
         .perturb_seed(perturb)
         .telemetry(true)
         .metrics_interval(64)
-        .jobs(jobs)
         .build()
         .expect("valid config");
     let mut sim = Simulation::new(config, &program).expect("create sim");
-    let path = status.then(|| temp_status_path(&format!("j{jobs}-p{perturb:x}-{}", machine.cores)));
+    let path = status.then(temp_status_path);
     if let Some(path) = &path {
         // 1 ms cadence so snapshots genuinely fire mid-run; the point
         // is that firing cannot matter.
@@ -130,8 +135,8 @@ fn run(src: &str, machine: &Machine, jobs: usize, perturb: u64, status: bool) ->
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The tentpole invariant: status stream on vs off, sequential and
-    /// parallel, partitioned and contended, perturbed and canonical —
+    /// The tentpole invariant: status stream on vs off, partitioned and
+    /// contended, perturbed and canonical —
     /// same digest, same metrics bytes. The metrics document never
     /// carries a status section, so no stripping is needed: equality
     /// is over the complete document.
@@ -142,20 +147,16 @@ proptest! {
         perturb in prop_oneof![Just(0u64), 1u64..u64::MAX],
     ) {
         let src = kernel(&machine, contended);
-        for jobs in [1usize, 4] {
-            let (off_digest, off_json) = run(&src, &machine, jobs, perturb, false);
-            let (on_digest, on_json) = run(&src, &machine, jobs, perturb, true);
-            prop_assert_eq!(
-                on_digest, off_digest,
-                "status stream leaked into the digest (jobs={})",
-                jobs
-            );
-            prop_assert_eq!(
-                &on_json, &off_json,
-                "status stream leaked into the metrics JSON (jobs={})",
-                jobs
-            );
-        }
+        let (off_digest, off_json) = run(&src, &machine, perturb, false);
+        let (on_digest, on_json) = run(&src, &machine, perturb, true);
+        prop_assert_eq!(
+            on_digest, off_digest,
+            "status stream leaked into the digest"
+        );
+        prop_assert_eq!(
+            &on_json, &off_json,
+            "status stream leaked into the metrics JSON"
+        );
     }
 }
 
@@ -170,12 +171,10 @@ fn watched_contended_run_matches_unwatched() {
         iterations: 24,
     };
     let src = kernel(&machine, true);
-    for jobs in [1usize, 4] {
-        let (off_digest, off_json) = run(&src, &machine, jobs, 0, false);
-        let (on_digest, on_json) = run(&src, &machine, jobs, 0, true);
-        assert_eq!(on_digest, off_digest, "digest diverged (jobs={jobs})");
-        assert_eq!(on_json, off_json, "metrics JSON diverged (jobs={jobs})");
-    }
+    let (off_digest, off_json) = run(&src, &machine, 0, false);
+    let (on_digest, on_json) = run(&src, &machine, 0, true);
+    assert_eq!(on_digest, off_digest, "digest diverged");
+    assert_eq!(on_json, off_json, "metrics JSON diverged");
 }
 
 /// A forced deadlock (lost data fill) must produce a parseable crash

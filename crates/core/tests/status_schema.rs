@@ -8,8 +8,13 @@
 //! (and mention the break in DESIGN.md).
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use coyote::{parse_json, JsonValue, SimConfig, Simulation, StatusEmitter};
+
+/// Distinguishes the status files of calls running concurrently on the
+/// test harness's threads, which share one process id.
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
 /// Runs a small two-core kernel with a status stream attached and
 /// returns the last emitted snapshot line, parsed.
@@ -38,7 +43,8 @@ fn last_snapshot() -> JsonValue {
     let mut sim = Simulation::new(config, &program).expect("create sim");
     let dir = std::env::temp_dir().join("coyote-status-schema");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path: PathBuf = dir.join(format!("{}.jsonl", std::process::id()));
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let path: PathBuf = dir.join(format!("{}-{call}.jsonl", std::process::id()));
     let emitter = StatusEmitter::create(&path, 3_600_000).expect("emitter");
     sim.set_status(emitter);
     sim.run().expect("run completes");

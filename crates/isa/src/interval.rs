@@ -1,11 +1,9 @@
 //! Shared byte-interval primitives.
 //!
-//! Three previously independent copies of the same cross-core
-//! conflict sweep lived in the parallel orchestrator
-//! (`crates/core/src/par.rs`), the fused-window chunk check
+//! The cross-core conflict sweep of the fused-window chunk check
 //! (`crates/core/src/sim.rs`) and the superblock pairwise checker
-//! (`crates/iss/src/superblock.rs`). They are now all expressed over
-//! this module: [`AccessInterval`] plus [`sweep_conflicts`] implement
+//! (`crates/iss/src/superblock.rs`) are both expressed over this
+//! module: [`AccessInterval`] plus [`sweep_conflicts`] implement
 //! the sort-and-sweep overlap test once, and [`ByteIntervalSet`] is
 //! the sorted, coalesced byte-range container the static analysis
 //! crate builds footprints and text-overlap queries on.

@@ -20,7 +20,7 @@ use coyote_isa::{DecodedInst, Inst, PredecodeStats, XReg};
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::exec::{defs, execute, uses, Ecall, ExecError, MemAccess, RegSet};
 use crate::hart::{Hart, DEFAULT_VLEN_BITS};
-use crate::mem::{AddrMap, MemoryIo};
+use crate::mem::{AddrMap, SparseMemory};
 use crate::scoreboard::{dest_set, Scoreboard};
 use crate::superblock::{validate_run_stop, FuseDiag, FuseStop, FusedAccess, ValidateCtx, MAX_RUN};
 
@@ -415,7 +415,7 @@ pub struct Core {
     /// cold blocks never pay template construction.
     last_validated_pc: u64,
     /// Instructions retired through the fused path. A host-diagnostic
-    /// counter like `conflict_fallbacks`: deliberately outside
+    /// counter: deliberately outside
     /// [`CoreStats`] so the determinism digest cannot vary with the
     /// fusion knob, while metrics still export it (`block_hit_rate`).
     fused_retired: u64,
@@ -816,9 +816,9 @@ impl Core {
     /// The skipped checks are therefore exactly the ones that cannot
     /// fire; every counter the skipped branches would have touched is
     /// still updated identically (cache probes, retired, branches).
-    fn step_fused_one<M: MemoryIo>(
+    fn step_fused_one(
         &mut self,
-        mem: &mut M,
+        mem: &mut SparseMemory,
         text: &DecodedText,
         cycle: u64,
     ) -> Result<StepEvent, SimError> {
@@ -885,9 +885,9 @@ impl Core {
     ///
     /// Propagates [`SimError`] from execution (unreachable for
     /// validated runs; kept for defense in depth).
-    pub fn step_block<M: MemoryIo>(
+    pub fn step_block(
         &mut self,
-        mem: &mut M,
+        mem: &mut SparseMemory,
         text: &DecodedText,
         cycle: u64,
         n: u32,
@@ -958,9 +958,9 @@ impl Core {
     /// # Errors
     ///
     /// Propagates [`SimError`] from execution.
-    pub fn step_block_chain<M: MemoryIo>(
+    pub fn step_block_chain(
         &mut self,
-        mem: &mut M,
+        mem: &mut SparseMemory,
         text: &DecodedText,
         cycle: u64,
         budget: u32,
@@ -993,9 +993,9 @@ impl Core {
     ///
     /// Panics if called while the core is not [`CoreState::Active`]
     /// (orchestrator bug).
-    pub fn step<M: MemoryIo>(
+    pub fn step(
         &mut self,
-        mem: &mut M,
+        mem: &mut SparseMemory,
         text: &DecodedText,
         cycle: u64,
         misses: &mut Vec<MissRequest>,
@@ -1081,9 +1081,7 @@ impl Core {
         for access in &accesses {
             // Self-modifying code: a store landing in the text segment
             // stales the predecoded table. Record it; the orchestrator
-            // invalidates the patched entries at end of cycle (the
-            // same point for every jobs count, keeping runs
-            // bit-identical).
+            // invalidates the patched entries at end of cycle.
             if access.write && text.overlaps(access.addr, u64::from(access.size)) {
                 self.text_writes.push((access.addr, access.size));
             }

@@ -1,8 +1,7 @@
 //! Functional execution semantics.
 //!
-//! [`execute`] applies one decoded instruction to a [`Hart`] and a
-//! [`MemoryIo`] memory (the shared [`SparseMemory`](crate::mem::SparseMemory)
-//! or a buffered per-core view), reporting the data-memory accesses performed
+//! [`execute`] applies one decoded instruction to a [`Hart`] and the
+//! shared [`SparseMemory`], reporting the data-memory accesses performed
 //! and the destination register written, which the timing layer (L1
 //! caches + RAW scoreboard + event-driven hierarchy) uses to drive the
 //! Coyote cycle loop.
@@ -23,7 +22,7 @@ use coyote_isa::inst::{
 use coyote_isa::{FReg, Sew, VReg, XReg};
 
 use crate::hart::Hart;
-use crate::mem::MemoryIo;
+use crate::mem::SparseMemory;
 
 /// One data-memory access performed by an instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,6 +86,12 @@ pub enum ExecError {
     },
     /// A vector FP operation needs SEW=64.
     FpVectorNeedsE64,
+    /// A taken jump or branch targeted an address that is not 4-byte
+    /// aligned (the ISA has no C extension).
+    MisalignedTarget {
+        /// The misaligned target address.
+        target: u64,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -97,6 +102,9 @@ impl fmt::Display for ExecError {
             }
             ExecError::FpVectorNeedsE64 => {
                 write!(f, "vector floating-point requires e64 elements")
+            }
+            ExecError::MisalignedTarget { target } => {
+                write!(f, "instruction-address-misaligned jump target {target:#x}")
             }
         }
     }
@@ -217,7 +225,7 @@ fn alu_w(op: AluWOp, a: u64, b: u64) -> u64 {
     result as i64 as u64
 }
 
-fn load_value<M: MemoryIo>(mem: &mut M, addr: u64, width: MemWidth, signed: bool) -> u64 {
+fn load_value(mem: &SparseMemory, addr: u64, width: MemWidth, signed: bool) -> u64 {
     match (width, signed) {
         (MemWidth::B, true) => mem.read_u8(addr) as i8 as i64 as u64,
         (MemWidth::B, false) => u64::from(mem.read_u8(addr)),
@@ -229,12 +237,22 @@ fn load_value<M: MemoryIo>(mem: &mut M, addr: u64, width: MemWidth, signed: bool
     }
 }
 
-fn store_value<M: MemoryIo>(mem: &mut M, addr: u64, width: MemWidth, value: u64) {
+fn store_value(mem: &mut SparseMemory, addr: u64, width: MemWidth, value: u64) {
     match width {
         MemWidth::B => mem.write_u8(addr, value as u8),
         MemWidth::H => mem.write_u16(addr, value as u16),
         MemWidth::W => mem.write_u32(addr, value as u32),
         MemWidth::D => mem.write_u64(addr, value),
+    }
+}
+
+/// Checks a taken control transfer's target: without the C extension
+/// every instruction is 4-byte aligned.
+fn aligned_target(target: u64) -> Result<u64, ExecError> {
+    if target & 3 == 0 {
+        Ok(target)
+    } else {
+        Err(ExecError::MisalignedTarget { target })
     }
 }
 
@@ -247,10 +265,12 @@ fn store_value<M: MemoryIo>(mem: &mut M, addr: u64, width: MemWidth, value: u64)
 /// # Errors
 ///
 /// Returns [`ExecError`] for vector operations at unsupported element
-/// widths. The instruction is not retired in that case.
-pub fn execute<M: MemoryIo>(
+/// widths and for taken jumps or branches to a target that is not
+/// 4-byte aligned. The instruction is not retired in that case, and no
+/// register is written.
+pub fn execute(
     hart: &mut Hart,
-    mem: &mut M,
+    mem: &mut SparseMemory,
     inst: &Inst,
     cycle: u64,
     instret: u64,
@@ -270,13 +290,14 @@ pub fn execute<M: MemoryIo>(
             fx.dest = Some(Dest::X(rd));
         }
         Inst::Jal { rd, offset } => {
+            let target = aligned_target(hart.pc.wrapping_add(offset as i64 as u64))?;
             hart.set_x(rd, next_pc);
-            next_pc = hart.pc.wrapping_add(offset as i64 as u64);
+            next_pc = target;
             fx.dest = Some(Dest::X(rd));
             fx.branched = true;
         }
         Inst::Jalr { rd, rs1, offset } => {
-            let target = hart.x(rs1).wrapping_add(offset as i64 as u64) & !1;
+            let target = aligned_target(hart.x(rs1).wrapping_add(offset as i64 as u64) & !1)?;
             hart.set_x(rd, next_pc);
             next_pc = target;
             fx.dest = Some(Dest::X(rd));
@@ -298,7 +319,7 @@ pub fn execute<M: MemoryIo>(
                 BranchOp::Geu => a >= b,
             };
             if taken {
-                next_pc = hart.pc.wrapping_add(offset as i64 as u64);
+                next_pc = aligned_target(hart.pc.wrapping_add(offset as i64 as u64))?;
                 fx.branched = true;
             }
         }

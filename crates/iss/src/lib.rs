@@ -62,7 +62,6 @@ pub mod hart;
 pub mod mem;
 pub mod scoreboard;
 pub mod superblock;
-pub mod view;
 
 pub use crate::core::{
     Core, CoreConfig, CoreSnapshot, CoreState, CoreStats, DecodedText, MissKind, MissRequest,
@@ -71,7 +70,6 @@ pub use crate::core::{
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use exec::{Dest, Ecall, Effects, ExecError, MemAccess, RegSet};
 pub use hart::{Hart, DEFAULT_VLEN_BITS};
-pub use mem::{MemoryIo, SparseMemory};
+pub use mem::SparseMemory;
 pub use scoreboard::Scoreboard;
 pub use superblock::{accesses_conflict, FuseDiag, FuseStop, FusedAccess};
-pub use view::{BufferedMemory, StoreBuffer};

@@ -2,8 +2,10 @@
 //! an ideal memory below the L1s, and the architectural results are
 //! checked against host-computed oracles.
 
-use coyote_iss::core::{Core, CoreConfig, CoreState, DecodedText};
+use coyote_isa::XReg;
+use coyote_iss::core::{Core, CoreConfig, CoreState, DecodedText, SimError};
 use coyote_iss::mem::SparseMemory;
+use coyote_iss::ExecError;
 use proptest::prelude::*;
 
 /// Runs `src` to completion with immediate miss servicing; returns the
@@ -346,6 +348,80 @@ fn console_output_via_write_ecall() {
             ecall";
     let (core, _) = run(src);
     assert_eq!(core.console(), b"Hi");
+}
+
+/// Runs `src` until a step faults; returns the core and the fault.
+/// Misses are serviced immediately, as in [`run`].
+fn run_to_fault(src: &str) -> (Core, SimError) {
+    let program = coyote_asm::assemble(src).unwrap_or_else(|e| panic!("asm: {e}"));
+    let mut mem = SparseMemory::new();
+    mem.load_program(&program);
+    let text = DecodedText::from_program(&program);
+    let mut core = Core::new(0, program.entry(), &CoreConfig::default());
+    let mut misses = Vec::new();
+    for cycle in 0..10_000u64 {
+        assert!(
+            !matches!(core.state(), CoreState::Halted(_)),
+            "program halted without faulting"
+        );
+        if core.state() == CoreState::Active {
+            if let Err(e) = core.step(&mut mem, &text, cycle, &mut misses) {
+                return (core, e);
+            }
+        }
+        for miss in misses.drain(..) {
+            core.complete_fill(miss.line_addr, miss.kind, cycle);
+        }
+    }
+    panic!("program did not fault");
+}
+
+#[test]
+fn misaligned_jump_targets_fault_at_the_jump() {
+    // Without the C extension every target must be 4-byte aligned. The
+    // fault names the jump's own pc and target, and leaves rd and pc
+    // unwritten (the oracle replays the same `execute`).
+    // (program, expected target as a function of the jump's pc)
+    type Target = fn(u64) -> u64;
+    let cases: [(&str, Target); 4] = [
+        ("_start:\n nop\n jalr ra, 6(zero)", |_| 6),
+        ("_start:\n li t0, 0x1002\n jalr ra, 0(t0)", |_| 0x1002),
+        ("_start:\n nop\n jal ra, 6", |pc| pc + 6),
+        ("_start:\n nop\n beq zero, zero, -2", |pc| pc - 2),
+    ];
+    for (src, expected) in cases {
+        let (core, err) = run_to_fault(src);
+        // Every case's jump is its last instruction.
+        let program = coyote_asm::assemble(src).expect("assembles");
+        let jump_pc = program.text_base() + 4 * (program.text().len() as u64 - 1);
+        let target = expected(jump_pc);
+        match &err {
+            SimError::Exec { pc, source } => {
+                assert_eq!(*pc, jump_pc, "{src}");
+                assert_eq!(*source, ExecError::MisalignedTarget { target }, "{src}");
+            }
+            other => panic!("{src}: expected a misaligned-target fault, got {other}"),
+        }
+        assert_eq!(
+            core.hart().pc,
+            jump_pc,
+            "{src}: pc moved past the faulting jump"
+        );
+        assert_eq!(
+            core.hart().x(XReg::RA),
+            0,
+            "{src}: rd written before the fault"
+        );
+        assert!(
+            err.to_string().contains("misaligned"),
+            "{src}: message must name the misalignment: {err}"
+        );
+    }
+    // A not-taken branch never transfers control, so its target is moot.
+    assert_eq!(
+        exit_code("_start:\n li a0, 3\n bne zero, zero, 6\n li a7, 93\n ecall"),
+        3
+    );
 }
 
 proptest! {

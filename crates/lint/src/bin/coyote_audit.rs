@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! coyote-audit --lint [--root DIR] [--baseline FILE] [--json | --format json]
-//! coyote-audit --race --config NAME [--perturb-seed N] [--jobs N] [--profile] [--certify] [--json]
+//! coyote-audit --race --config NAME [--perturb-seed N] [--profile] [--certify] [--json]
 //! coyote-audit --race --all [--json]
 //! ```
 //!
@@ -14,15 +14,11 @@
 //! `--race` runs the named repro configuration twice — canonical and
 //! schedule-perturbed — and diffs the results (see
 //! `coyote_lint::race`); exit code 1 means a schedule race. With
-//! `--jobs N` the perturbed run also executes its cores on N host
-//! threads, so the same diff proves the parallel execute phase is
-//! bit-identical to the sequential schedule. With `--profile` both
-//! runs carry counter-mode host profiling, extending the byte-for-byte
-//! metrics diff over the `host_profile` section (requires jobs = 1:
-//! the phase shape legitimately differs under a parallel execute
-//! phase). With `--certify` the perturbed run carries a static
-//! disjointness certificate while the baseline keeps the dynamic
-//! conflict sweeps, so the same diff proves the certified fast path is
+//! `--profile` both runs carry counter-mode host profiling, extending
+//! the byte-for-byte metrics diff over the `host_profile` section.
+//! With `--certify` the perturbed run carries a static disjointness
+//! certificate while the baseline keeps the dynamic conflict sweep, so
+//! the same diff proves the certified fast path is
 //! observationally identical down to digest and metrics bytes. With
 //! `--status` both runs stream live status snapshots to a temp file
 //! while being diffed, so the same diff proves the introspection plane
@@ -37,7 +33,7 @@ use coyote_lint::race::{self, CONFIG_NAMES};
 
 const USAGE: &str =
     "usage: coyote-audit --lint [--root DIR] [--baseline FILE] [--json | --format json]
-       coyote-audit --race (--config NAME | --all) [--perturb-seed N] [--jobs N] [--profile] \
+       coyote-audit --race (--config NAME | --all) [--perturb-seed N] [--profile] \
 [--certify] [--status] [--json]";
 
 struct Args {
@@ -47,7 +43,6 @@ struct Args {
     baseline: Option<PathBuf>,
     configs: Vec<String>,
     perturb_seed: u64,
-    jobs: usize,
     profile: bool,
     certify: bool,
     status: bool,
@@ -63,7 +58,6 @@ fn parse_args() -> Result<Args, String> {
         baseline: None,
         configs: Vec::new(),
         perturb_seed: 0,
-        jobs: 1,
         profile: false,
         certify: false,
         status: false,
@@ -100,14 +94,6 @@ fn parse_args() -> Result<Args, String> {
                     None => raw.parse(),
                 };
                 args.perturb_seed = parsed.map_err(|e| format!("--perturb-seed: {e}"))?;
-            }
-            "--jobs" => {
-                args.jobs = take(&mut it, "--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?;
-                if args.jobs == 0 {
-                    return Err("--jobs must be at least 1".to_owned());
-                }
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -190,7 +176,6 @@ fn run_race(args: &Args) -> Result<bool, String> {
         let outcome = race::check(
             name,
             args.perturb_seed,
-            args.jobs,
             args.profile,
             args.certify,
             args.status,
@@ -219,11 +204,10 @@ fn run_race(args: &Args) -> Result<bool, String> {
         } else {
             println!(
                 "coyote-audit --race: config `{}` deterministic over {} cycles \
-                 (seed {:#x}, jobs {}{})",
+                 (seed {:#x}{})",
                 outcome.config,
                 outcome.cycles,
                 outcome.perturb_seed,
-                outcome.jobs,
                 match (outcome.certified, outcome.status) {
                     (true, true) => ", certified, status-streamed",
                     (true, false) => ", certified",

@@ -102,9 +102,6 @@ pub struct RaceOutcome {
     pub status: bool,
     /// The perturbation seed of the second run.
     pub perturb_seed: u64,
-    /// Host threads of the perturbed run's execute phase (the baseline
-    /// is always sequential).
-    pub jobs: usize,
     /// Whether the perturbed run actually held a static disjointness
     /// certificate at the end of the run (the baseline always runs the
     /// dynamic conflict sweeps). `false` under `--certify` means the
@@ -154,7 +151,6 @@ impl RaceOutcome {
             .with("profiled", self.profiled)
             .with("status", self.status)
             .with("perturb_seed", self.perturb_seed)
-            .with("jobs", self.jobs)
             .with("certified", self.certified)
             .with("cycles", self.cycles)
             .with("events_compared", self.events_compared)
@@ -177,7 +173,6 @@ struct RunArtifacts {
 #[derive(Clone, Copy)]
 struct RunKnobs {
     perturb_seed: u64,
-    jobs: usize,
     profile: bool,
     certify: bool,
     status: bool,
@@ -191,7 +186,6 @@ fn run_once(
     knobs: RunKnobs,
 ) -> Result<RunArtifacts, String> {
     config.perturb_seed = knobs.perturb_seed;
-    config.jobs = knobs.jobs;
     config.certify = knobs.certify;
     if knobs.profile {
         // Counter-mode profiling is a pure function of the simulated
@@ -210,10 +204,9 @@ fn run_once(
         // emission is observation-only, so the diff below proves the
         // stream cannot perturb digest or metrics bytes.
         let path = std::env::temp_dir().join(format!(
-            "coyote-race-status-{}-s{}-j{}.jsonl",
+            "coyote-race-status-{}-s{}.jsonl",
             std::process::id(),
-            knobs.perturb_seed,
-            knobs.jobs
+            knobs.perturb_seed
         ));
         let emitter =
             coyote::StatusEmitter::create(&path, 1).map_err(|e| format!("status stream: {e}"))?;
@@ -296,16 +289,10 @@ fn localize(
 /// injection the check must report a divergence, without it the check
 /// must report none.
 ///
-/// `jobs` sets the host-thread count of the *perturbed* run only; the
-/// baseline always runs the sequential `jobs = 1` schedule. Any value
-/// above 1 therefore makes one diff prove two independences at once:
-/// the results must not depend on the free same-cycle event pop order
-/// *or* on the parallel execute phase's sharding and commit protocol.
-///
 /// `certify` arms static footprint certification on the *perturbed*
-/// run only; the baseline always runs the dynamic conflict sweeps. A
+/// run only; the baseline always runs the dynamic conflict sweep. A
 /// clean diff then proves the certificate-gated fast path — which
-/// skips those sweeps entirely — is observationally identical to the
+/// skips that sweep entirely — is observationally identical to the
 /// swept schedule, down to digest and metrics bytes.
 ///
 /// `status` attaches a live status stream (1 ms cadence, temp file) to
@@ -319,7 +306,6 @@ fn localize(
 pub fn check(
     name: &str,
     perturb_seed: u64,
-    jobs: usize,
     profile: bool,
     certify: bool,
     status: bool,
@@ -327,12 +313,6 @@ pub fn check(
 ) -> Result<RaceOutcome, String> {
     let (config, workload) = named_config(name)
         .ok_or_else(|| format!("unknown race config `{name}` (have: {CONFIG_NAMES:?})"))?;
-    if profile && jobs > 1 {
-        // The phase tree legitimately differs between sequential and
-        // parallel execute phases, and the baseline is always jobs=1 —
-        // profiled comparisons are only meaningful at matching shapes.
-        return Err("--profile requires jobs = 1 (the baseline is sequential)".to_owned());
-    }
     if profile && certify {
         // A certified run adds its own profiling spans and counters
         // (the analysis phase, certificate grants), so a profiled diff
@@ -352,7 +332,6 @@ pub fn check(
 
     let baseline_knobs = RunKnobs {
         perturb_seed: 0,
-        jobs: 1,
         profile,
         certify: false,
         status,
@@ -361,7 +340,6 @@ pub fn check(
     };
     let perturbed_knobs = RunKnobs {
         perturb_seed: seed,
-        jobs,
         certify,
         ..baseline_knobs
     };
@@ -399,7 +377,6 @@ pub fn check(
             profiled: profile,
             status,
             perturb_seed: seed,
-            jobs,
             certified: perturbed.certified,
             cycles: baseline.cycles,
             events_compared: 0,
@@ -438,7 +415,6 @@ pub fn check(
         profiled: profile,
         status,
         perturb_seed: seed,
-        jobs,
         certified: perturbed.certified,
         cycles: baseline.cycles,
         events_compared,

@@ -55,8 +55,10 @@ pub use topk::{PcEntry, TopK};
 /// v4 added the `host_profile` top-level section (null unless the run
 /// was profiled). v5 added the `report.truncated` flag (true when a
 /// graceful stop cut the run short) and the status-snapshot lines
-/// emitted by [`live`], which carry the same version.
-pub const SCHEMA_VERSION: u64 = 5;
+/// emitted by [`live`], which carry the same version. v6 removed the
+/// parallel-phase conflict-fallback counter from the status snapshot
+/// (and the crash dump), retired together with that execute phase.
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// A stage of the request lifecycle through the memory hierarchy.
 ///

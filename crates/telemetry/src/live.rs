@@ -75,8 +75,6 @@ pub struct StatusSnapshot {
     pub retired: u64,
     /// Fraction of retirements through the superblock fused path.
     pub block_hit_rate: f64,
-    /// Parallel-phase conflict fallbacks so far.
-    pub conflict_fallbacks: u64,
     /// Whether a static disjointness certificate is currently in force.
     pub certificate_active: bool,
     /// Events popped from the hierarchy event queue so far.
@@ -265,7 +263,6 @@ impl StatusEmitter {
             .with("cycles_per_sec", cycles_per_sec)
             .with("eta_seconds", eta_seconds)
             .with("block_hit_rate", snap.block_hit_rate)
-            .with("conflict_fallbacks", snap.conflict_fallbacks)
             .with("certificate_active", snap.certificate_active)
             .with("event_pops", snap.event_pops)
             .with("halted", snap.halted)
@@ -294,7 +291,6 @@ mod tests {
             max_cycles: 1_000_000,
             retired,
             block_hit_rate: 0.5,
-            conflict_fallbacks: 1,
             certificate_active: false,
             event_pops: 7,
             halted: 0,
