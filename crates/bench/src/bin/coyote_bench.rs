@@ -10,6 +10,7 @@
 //!   --kernel matmul|spmv run only one kernel (default both)
 //!   --json FILE          write the sweep as JSON rows + a host block
 //!   --baseline FILE      compare MIPS against a committed JSON baseline
+//!                        (refused unless its `scale` matches the run's)
 //!   --max-regress PCT    allowed MIPS regression vs baseline (default 20)
 //!   --strict             exit non-zero on regression (default warn-only)
 //! ```
@@ -121,6 +122,7 @@ fn print_help() {
     println!("  --kernel matmul|spmv run only one kernel (default both)");
     println!("  --json FILE          write the sweep as JSON rows + a host block");
     println!("  --baseline FILE      compare MIPS against a committed JSON baseline");
+    println!("                       (refused unless its `scale` matches the run's)");
     println!("  --max-regress PCT    allowed MIPS regression vs baseline (default 20)");
     println!("  --strict             exit non-zero on regression (default warn-only)");
 }
@@ -267,7 +269,28 @@ fn regressions(baseline: &JsonValue, rows: &[Fig3Row], max_regress_pct: f64) -> 
     out
 }
 
+/// Loads the baseline and refuses it unless it was measured at the
+/// same scale as this run: rows of different problem sizes share
+/// `(cores, kernel)` keys but not workloads.
+fn load_baseline(path: &str, options: &Options) -> Result<JsonValue, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let baseline = parse_json(&text).map_err(|e| format!("{path}: {e}"))?;
+    let run_scale = scale_name(options);
+    match baseline.get("scale").and_then(JsonValue::as_str) {
+        Some(scale) if scale == run_scale => Ok(baseline),
+        found => Err(format!(
+            "{path}: baseline scale `{}` does not match this run's scale `{run_scale}`",
+            found.unwrap_or("(missing)")
+        )),
+    }
+}
+
 fn run(options: &Options) -> Result<ExitCode, String> {
+    // Refuse a mismatched baseline before spending the sweep on it.
+    let baseline = match &options.baseline_path {
+        Some(path) => Some((path, load_baseline(path, options)?)),
+        None => None,
+    };
     let rows = sweep(options);
     println!("{}", fig3::table(&rows));
 
@@ -279,9 +302,7 @@ fn run(options: &Options) -> Result<ExitCode, String> {
         eprintln!("fig3: wrote {path}");
     }
 
-    if let Some(path) = &options.baseline_path {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let baseline = parse_json(&text).map_err(|e| format!("{path}: {e}"))?;
+    if let Some((path, baseline)) = baseline {
         let bad = regressions(&baseline, &rows, options.max_regress_pct);
         if bad.is_empty() {
             eprintln!(

@@ -222,6 +222,7 @@ fn run(options: &Options) -> Result<(), String> {
             "line_not_resident",
             "base_written",
             "text_store",
+            "address_wrap",
             "cross_core_conflict",
             "text_invalidation",
         ] {

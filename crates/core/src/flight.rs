@@ -39,20 +39,6 @@ pub fn state_name(state: CoreState) -> &'static str {
     }
 }
 
-/// Stable lower-snake name of a fused-run stop reason.
-#[must_use]
-pub fn fuse_stop_name(stop: FuseStop) -> &'static str {
-    match stop {
-        FuseStop::RunEnd => "run_end",
-        FuseStop::TooShort => "too_short",
-        FuseStop::ScoreboardBusy => "scoreboard_busy",
-        FuseStop::PendingFill => "pending_fill",
-        FuseStop::LineNotResident => "line_not_resident",
-        FuseStop::BaseWritten => "base_written",
-        FuseStop::TextStore => "text_store",
-    }
-}
-
 fn miss_kind_name(kind: MissKind) -> &'static str {
     match kind {
         MissKind::Ifetch => "ifetch",
@@ -144,7 +130,7 @@ impl fmt::Display for FlightEvent {
                 write!(
                     f,
                     "fused window abort: core {core} rearm failed ({})",
-                    fuse_stop_name(stop)
+                    stop.name()
                 )
             }
             FlightKind::WindowConflict => write!(f, "fused window cross-core conflict"),
@@ -178,7 +164,7 @@ impl FlightEvent {
                 .with("exit_code", code),
             FlightKind::WindowAbort { core, stop } => with_kind(base, "window_abort")
                 .with("core", core)
-                .with("stop", fuse_stop_name(stop)),
+                .with("stop", stop.name()),
             FlightKind::WindowConflict => with_kind(base, "window_conflict"),
             FlightKind::CertificateRevoked => with_kind(base, "certificate_revoked"),
             FlightKind::TextInvalidate { addr } => {

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use coyote_asm::Program;
-use coyote_isa::{sweep_conflicts, AccessInterval, XReg};
+use coyote_isa::{cross_owner_conflict, AccessInterval, XReg};
 use coyote_iss::core::{Core, CoreSnapshot, CoreState, DecodedText, StepEvent};
 use coyote_iss::{FuseStop, MissKind, SimError, SparseMemory};
 use coyote_mem::hierarchy::{Completion, Hierarchy, Request};
@@ -254,10 +254,8 @@ pub struct Simulation {
     /// Reused buffer: cores this cycle's completion drain woke.
     woken_buf: Vec<usize>,
     /// Reused buffer: `(start, end, core, write)` byte intervals for
-    /// the fused window's cross-core disjointness sweep.
+    /// the fused window's cross-core conflict check.
     window_intervals: Vec<AccessInterval>,
-    /// Reused buffer: the disjointness sweep's open-interval set.
-    window_open: Vec<(u64, usize, bool)>,
     /// Host-side self-profiler, present when [`SimConfig::profiling`]
     /// is not [`ProfMode::Off`]. Strictly observational: it reads the
     /// orchestrator, never the other way around — profiled and
@@ -309,6 +307,7 @@ fn rearm_fail_counter(stop: FuseStop) -> &'static str {
         FuseStop::LineNotResident => "window/rearm_fail/line_not_resident",
         FuseStop::BaseWritten => "window/rearm_fail/base_written",
         FuseStop::TextStore => "window/rearm_fail/text_store",
+        FuseStop::AddressWrap => "window/rearm_fail/address_wrap",
     }
 }
 
@@ -412,7 +411,6 @@ impl Simulation {
             deactivated_buf: Vec::new(),
             woken_buf: Vec::new(),
             window_intervals: Vec::new(),
-            window_open: Vec::new(),
             prof,
             cert,
             status: None,
@@ -1311,32 +1309,35 @@ impl Simulation {
     /// window could observably differ from per-cycle interleaving.
     /// Byte granularity, not cache lines: HPC kernels routinely
     /// partition one line across harts (disjoint dwords).
+    ///
+    /// A conflict needs a write, so a chunk in which no core writes is
+    /// answered without building any intervals — the common case when
+    /// every core reads a shared operand in lockstep. Otherwise the
+    /// write-anchored [`cross_owner_conflict`] decides.
     fn window_conflicts(&mut self, actives: &[usize], window: u32) -> bool {
         // Certified workloads proved cross-core disjointness statically
-        // — the sweep below cannot fire, so don't pay for it.
+        // — the check below cannot fire, so don't pay for it.
         if self.certificate_active() {
             return false;
         }
-        let intervals = &mut self.window_intervals;
-        intervals.clear();
-        for &idx in actives {
-            let core = &self.cores[idx];
-            let pos = core.fused_pos();
-            for access in core.fused_accesses() {
-                if access.pos >= pos && access.pos < pos + window {
-                    intervals.push(AccessInterval::new(
-                        access.addr,
-                        u64::from(access.size),
-                        idx,
-                        access.write,
-                    ));
-                }
+        let cores = &self.cores;
+        let writes = actives
+            .iter()
+            .any(|&idx| cores[idx].window_accesses(window).iter().any(|a| a.write));
+        let conflict = writes && {
+            let intervals = &mut self.window_intervals;
+            intervals.clear();
+            for &idx in actives {
+                intervals.extend(
+                    cores[idx]
+                        .window_accesses(window)
+                        .iter()
+                        .map(|a| AccessInterval::new(a.addr, u64::from(a.size), idx, a.write)),
+                );
             }
-        }
-        let mut open = std::mem::take(&mut self.window_open);
-        let conflict = sweep_conflicts(intervals, &mut open);
-        self.window_open = open;
-        // The sweep must agree with the pairwise reference checker.
+            cross_owner_conflict(intervals)
+        };
+        // The check must agree with the naive pairwise reference.
         debug_assert_eq!(conflict, {
             let mut pairwise = false;
             'outer: for (i, &a) in actives.iter().enumerate() {
@@ -1356,6 +1357,15 @@ impl Simulation {
             }
             pairwise
         });
+        if self.prof.is_some() {
+            self.prof_bump("window/conflict_checks", 1);
+            if writes {
+                let probed = self.window_intervals.len() as u64;
+                self.prof_bump("window/intervals_probed", probed);
+            } else {
+                self.prof_bump("window/write_free_checks", 1);
+            }
+        }
         conflict
     }
 

@@ -149,6 +149,23 @@ fn misaligned_jump_is_reported_at_the_jump() {
 }
 
 #[test]
+fn access_past_the_top_of_memory_is_reported_not_panicked() {
+    let path = write_temp_program("wrapping-load.s", "_start:\n li t0, -4\n ld a0, 0(t0)");
+    let output = Command::new(sim_binary())
+        .arg(&path)
+        .output()
+        .expect("spawn coyote-sim");
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr
+            .contains("8-byte access at 0xfffffffffffffffc runs past the top of the address space"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
 fn every_documented_flag_parses() {
     let path = write_temp_program(
         "flags.s",

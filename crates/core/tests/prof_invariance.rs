@@ -282,3 +282,167 @@ fn profiled_contended_run_matches_unprofiled() {
         assert_eq!(json, off_json, "metrics JSON diverged ({mode:?})");
     }
 }
+
+/// Runs `src` on `cores` shared-L2 cores under counter-mode profiling
+/// and returns the digest and the `host_profile` section.
+fn run_counter_profiled(src: &str, cores: usize) -> (u64, JsonValue) {
+    let machine = Machine {
+        cores,
+        sharing: L2Sharing::Shared,
+        iterations: 0,
+        stride: 0,
+    };
+    let (digest, _, doc) = run(src, &machine, ProfMode::Counter, 0);
+    let profile = doc.get("host_profile").expect("host_profile").clone();
+    (digest, profile)
+}
+
+fn counter(profile: &JsonValue, name: &str) -> u64 {
+    profile
+        .get("counters")
+        .and_then(|c| c.get(name))
+        .and_then(JsonValue::as_u64)
+        .unwrap_or(0)
+}
+
+/// Pinned mid-window conflict: every core streams loads over a shared
+/// range while core 0 alone stores into it at the fourth position of
+/// the same run (the other cores store to private slots), so a chunk
+/// that spans the store must abort as a cross-core conflict — and the
+/// fused run must still equal plain per-instruction stepping.
+#[test]
+fn write_into_another_cores_read_range_aborts_the_window() {
+    let src = "
+        .data
+        shared: .zero 64
+        private: .zero 1024
+        .text
+        _start:
+            csrr t0, mhartid
+            la t1, shared
+            la s1, private
+            slli t2, t0, 6
+            add s1, s1, t2
+            bnez t0, go
+            mv s1, t1
+        go:
+            li t2, 200
+        loop:
+            ld t3, 0(t1)
+            ld t4, 8(t1)
+            add t5, t3, t4
+            sd t5, 8(s1)
+            addi t2, t2, -1
+            bnez t2, loop
+            li a0, 0
+            li a7, 93
+            ecall";
+    let machine = Machine {
+        cores: 4,
+        sharing: L2Sharing::Shared,
+        iterations: 0,
+        stride: 0,
+    };
+    let (ref_digest, _) = run_fusion(src, &machine, false, 0);
+    let (digest, profile) = run_counter_profiled(src, machine.cores);
+    assert_eq!(digest, ref_digest, "fused run diverged");
+    let conflicts = profile
+        .get("abort_reasons")
+        .and_then(|a| a.get("cross_core_conflict"))
+        .and_then(JsonValue::as_u64)
+        .expect("abort_reasons.cross_core_conflict");
+    assert!(
+        conflicts > 0,
+        "the shared-range store never aborted a window"
+    );
+}
+
+/// The conflict check's work counters are pure functions of the
+/// schedule, and on a read-shared matmul-shaped kernel (every core
+/// streams the same `B` column, stores once per row) almost every
+/// check is answered without building intervals.
+#[test]
+fn conflict_check_counters_repeat_and_are_mostly_write_free() {
+    let src = "
+        .data
+        a: .zero 4096
+        b: .zero 512
+        c: .zero 64
+        .text
+        _start:
+            csrr t0, mhartid
+            la t1, a
+            slli t2, t0, 9
+            add t1, t1, t2
+            la t3, b
+            la s1, c
+            slli t2, t0, 3
+            add s1, s1, t2
+            li t4, 64
+            li t5, 0
+        loop:
+            ld a1, 0(t1)
+            ld a2, 0(t3)
+            mul a3, a1, a2
+            add t5, t5, a3
+            addi t1, t1, 8
+            addi t3, t3, 8
+            addi t4, t4, -1
+            bnez t4, loop
+            sd t5, 0(s1)
+            li a0, 0
+            li a7, 93
+            ecall";
+    let (digest, first) = run_counter_profiled(src, 8);
+    let (again_digest, second) = run_counter_profiled(src, 8);
+    assert_eq!(digest, again_digest);
+    assert_eq!(first.get("counters"), second.get("counters"));
+    let checks = counter(&first, "window/conflict_checks");
+    let write_free = counter(&first, "window/write_free_checks");
+    assert!(checks > 0, "no multi-core chunk was checked");
+    assert!(
+        write_free * 10 >= checks * 9,
+        "{write_free} of {checks} checks were write-free"
+    );
+}
+
+/// An access running past the top of memory faults on the
+/// per-instruction path at the same cycle, with the same message and
+/// machine state, whether fusion is on or off: run validation stops
+/// before the wrapping access, so no fused run ever contains it. The
+/// warm-up loop makes the top line resident, so without that stop the
+/// wrapping load would be validated into a fused run.
+#[test]
+fn wrapping_access_faults_identically_with_fusion_on_and_off() {
+    let src = "
+        _start:
+            li t0, -16
+            li t3, 3
+        warm:
+            ld a1, 0(t0)
+            addi t3, t3, -1
+            bnez t3, warm
+            addi a2, a2, 1
+            addi a3, a3, 1
+            ld a0, 12(t0)
+            li a7, 93
+            ecall";
+    let program = coyote_asm::assemble(src).expect("assemble");
+    let outcome = |fusion: bool| {
+        let config = SimConfig::builder()
+            .cores(2)
+            .fusion(fusion)
+            .build()
+            .expect("valid config");
+        let mut sim = Simulation::new(config, &program).expect("create sim");
+        let err = sim.run().expect_err("the wrapping load faults");
+        (err.to_string(), sim.cycle(), sim.determinism_digest())
+    };
+    let fused = outcome(true);
+    assert!(
+        fused.0.contains("runs past the top of the address space"),
+        "{}",
+        fused.0
+    );
+    assert_eq!(fused, outcome(false));
+}

@@ -1,14 +1,13 @@
 //! Shared byte-interval primitives.
 //!
-//! The cross-core conflict sweep of the fused-window chunk check
-//! (`crates/core/src/sim.rs`) and the superblock pairwise checker
-//! (`crates/iss/src/superblock.rs`) are both expressed over this
-//! module: [`AccessInterval`] plus [`sweep_conflicts`] implement
-//! the sort-and-sweep overlap test once, and [`ByteIntervalSet`] is
-//! the sorted, coalesced byte-range container the static analysis
-//! crate builds footprints and text-overlap queries on.
+//! The cross-core conflict check of the fused-window chunk
+//! (`crates/core/src/sim.rs`) is expressed over this module:
+//! [`AccessInterval`] plus [`cross_owner_conflict`] implement the
+//! write-anchored overlap test, and [`ByteIntervalSet`] is the sorted,
+//! coalesced byte-range container the static analysis crate builds
+//! footprints and text-overlap queries on.
 //!
-//! The sweep semantics are exactly the ones the orchestrator relies
+//! The conflict semantics are exactly the ones the orchestrator relies
 //! on: two half-open byte ranges conflict when they overlap, belong
 //! to *different* owners (cores), and at least one of them is a
 //! write. Same-owner overlap and read/read sharing are never
@@ -18,9 +17,8 @@
 /// other party) that produced it and whether it writes.
 ///
 /// The derived lexicographic order — `start`, then `end`, `owner`,
-/// `write` — is what [`sweep_conflicts`] sorts by; it matches the
-/// tuple ordering the duplicated sweeps historically used, so the
-/// deduplication is behaviour-preserving.
+/// `write` — is what [`cross_owner_conflict`] sorts writes by; its
+/// write/write pass relies on `start`-then-`end` order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct AccessInterval {
     /// First byte touched.
@@ -35,6 +33,10 @@ pub struct AccessInterval {
 
 impl AccessInterval {
     /// Builds the interval for an access of `size` bytes at `addr`.
+    ///
+    /// The end saturates at `u64::MAX`. The simulator faults every
+    /// access whose end would not fit before executing it, so for the
+    /// accesses the conflict check sees the end is exact.
     #[must_use]
     pub fn new(addr: u64, size: u64, owner: usize, write: bool) -> AccessInterval {
         AccessInterval {
@@ -46,36 +48,71 @@ impl AccessInterval {
     }
 }
 
-/// Sort-and-sweep cross-owner conflict test.
+/// Write-anchored cross-owner conflict test.
 ///
-/// Sorts `intervals` in place, then sweeps left to right keeping the
-/// set of still-open ranges in `open` (a caller-provided scratch
-/// vector so hot paths can reuse the allocation; it is cleared on
-/// entry). Returns `true` iff some pair of overlapping intervals has
-/// different owners and at least one write.
-pub fn sweep_conflicts(
-    intervals: &mut [AccessInterval],
-    open: &mut Vec<(u64, usize, bool)>,
-) -> bool {
-    intervals.sort_unstable();
-    open.clear();
-    for &AccessInterval {
-        start,
-        end,
-        owner,
-        write,
-    } in intervals.iter()
-    {
-        open.retain(|&(o_end, _, _)| o_end > start);
-        if open
-            .iter()
-            .any(|&(_, o_owner, o_write)| o_owner != owner && (o_write || write))
-        {
+/// Returns `true` iff some pair of overlapping intervals has different
+/// owners and at least one write. A conflict always involves a write,
+/// so the test is anchored on the writes alone:
+///
+/// 1. the writes are moved to the front of `intervals` and sorted
+///    (the rest of the slice is left in unspecified order);
+/// 2. one pass over the sorted writes finds any write/write overlap
+///    across owners, tracking the furthest-reaching earlier write and
+///    the furthest-reaching one of any other owner;
+/// 3. each read binary-searches the sorted writes for the first one
+///    that could reach it (a write starting the longest write's length
+///    or more below the read cannot) and scans forward until writes
+///    start at or past the read's end.
+///
+/// Cost is O(W log W + R log W + k) for W writes, R reads and k
+/// candidate writes scanned; a write-free slice returns after one
+/// linear pass.
+pub fn cross_owner_conflict(intervals: &mut [AccessInterval]) -> bool {
+    let mut write_count = 0;
+    for i in 0..intervals.len() {
+        if intervals[i].write {
+            intervals.swap(i, write_count);
+            write_count += 1;
+        }
+    }
+    let (writes, reads) = intervals.split_at_mut(write_count);
+    if writes.is_empty() {
+        return false;
+    }
+    writes.sort_unstable();
+
+    // With writes in (start, end) order, an earlier write `a` overlaps
+    // a later write `b` exactly when `b.start < a.end`. Any initial
+    // owner works: both reaches start at 0, which no start is below.
+    let (mut top_end, mut top_owner, mut other_end) = (0u64, 0usize, 0u64);
+    let mut max_len = 0u64;
+    for w in writes.iter() {
+        let reach = if w.owner == top_owner {
+            other_end
+        } else {
+            top_end
+        };
+        if w.start < reach {
             return true;
         }
-        open.push((end, owner, write));
+        max_len = max_len.max(w.end - w.start);
+        if w.owner == top_owner {
+            top_end = top_end.max(w.end);
+        } else if w.end > top_end {
+            other_end = top_end;
+            (top_end, top_owner) = (w.end, w.owner);
+        } else {
+            other_end = other_end.max(w.end);
+        }
     }
-    false
+
+    reads.iter().any(|r| {
+        let lo = writes.partition_point(|w| w.start.saturating_add(max_len) <= r.start);
+        writes[lo..]
+            .iter()
+            .take_while(|w| w.start < r.end)
+            .any(|w| w.owner != r.owner && r.start < w.end)
+    })
 }
 
 /// A sorted, coalesced set of half-open byte ranges.
@@ -185,20 +222,19 @@ mod tests {
     }
 
     #[test]
-    fn sweep_matches_orchestrator_semantics() {
-        let mut open = Vec::new();
+    fn conflict_matches_orchestrator_semantics() {
         // Same owner: never a conflict, even write/write.
         let mut same = vec![iv(0, 8, 0, true), iv(4, 12, 0, true)];
-        assert!(!sweep_conflicts(&mut same, &mut open));
+        assert!(!cross_owner_conflict(&mut same));
         // Read/read across owners: fine.
         let mut rr = vec![iv(0, 8, 0, false), iv(4, 12, 1, false)];
-        assert!(!sweep_conflicts(&mut rr, &mut open));
+        assert!(!cross_owner_conflict(&mut rr));
         // Read/write overlap across owners: conflict.
         let mut rw = vec![iv(0, 8, 0, false), iv(7, 8, 1, true)];
-        assert!(sweep_conflicts(&mut rw, &mut open));
+        assert!(cross_owner_conflict(&mut rw));
         // Byte-adjacent (touching, not overlapping): fine.
         let mut adj = vec![iv(0, 8, 0, true), iv(8, 16, 1, true)];
-        assert!(!sweep_conflicts(&mut adj, &mut open));
+        assert!(!cross_owner_conflict(&mut adj));
     }
 
     #[test]

@@ -613,6 +613,17 @@ impl Core {
         &self.fused_accesses
     }
 
+    /// The validated run's accesses at positions
+    /// `[fused_pos, fused_pos + window)` — what the next `window` fused
+    /// retirements will touch. Accesses are stored in position order.
+    #[must_use]
+    pub fn window_accesses(&self, window: u32) -> &[FusedAccess] {
+        let pos = self.fused_pos();
+        let lo = self.fused_accesses.partition_point(|a| a.pos < pos);
+        let len = self.fused_accesses[lo..].partition_point(|a| a.pos - pos < window);
+        &self.fused_accesses[lo..lo + len]
+    }
+
     /// Abandons the validated run; the next step revalidates from
     /// scratch. Called on text-segment invalidation, which may have
     /// patched instructions inside the run.
@@ -770,6 +781,9 @@ impl Core {
                 .wrapping_add(plan.offset as i64 as u64);
             let way = self.dcache.probe_way(addr);
             let blocked = match way {
+                _ if addr.checked_add(u64::from(plan.size)).is_none() => {
+                    Some(FuseStop::AddressWrap)
+                }
                 None => Some(FuseStop::LineNotResident),
                 Some(_)
                     if !pending_empty

@@ -92,6 +92,14 @@ pub enum ExecError {
         /// The misaligned target address.
         target: u64,
     },
+    /// A data access's bytes would run past the top of the 64-bit
+    /// address space (`addr + size` does not fit in a `u64`).
+    AddressWrap {
+        /// First byte of the access.
+        addr: u64,
+        /// Access size in bytes.
+        size: u8,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -105,6 +113,12 @@ impl fmt::Display for ExecError {
             }
             ExecError::MisalignedTarget { target } => {
                 write!(f, "instruction-address-misaligned jump target {target:#x}")
+            }
+            ExecError::AddressWrap { addr, size } => {
+                write!(
+                    f,
+                    "{size}-byte access at {addr:#x} runs past the top of the address space"
+                )
             }
         }
     }
@@ -256,6 +270,35 @@ fn aligned_target(target: u64) -> Result<u64, ExecError> {
     }
 }
 
+/// Checks that a `size`-byte access at `addr` stays below the top of
+/// the address space, so `addr + size` is exact everywhere downstream.
+fn access_addr(addr: u64, size: u8) -> Result<u64, ExecError> {
+    match addr.checked_add(u64::from(size)) {
+        Some(_) => Ok(addr),
+        None => Err(ExecError::AddressWrap { addr, size }),
+    }
+}
+
+/// Checks every active element of a vector memory operation with
+/// [`access_addr`] before any element touches memory or registers.
+fn check_vector_elems(
+    hart: &Hart,
+    base: u64,
+    mode: VAddrMode,
+    eew: Sew,
+    vm: bool,
+) -> Result<(), ExecError> {
+    for i in 0..hart.vl {
+        if vm || hart.v0_mask_bit(i) {
+            access_addr(
+                vector_elem_addr(hart, base, mode, eew, i),
+                eew.bytes() as u8,
+            )?;
+        }
+    }
+    Ok(())
+}
+
 /// Executes one instruction on `hart`, mutating `mem`.
 ///
 /// `accesses` is cleared and refilled with the data-memory accesses the
@@ -265,9 +308,10 @@ fn aligned_target(target: u64) -> Result<u64, ExecError> {
 /// # Errors
 ///
 /// Returns [`ExecError`] for vector operations at unsupported element
-/// widths and for taken jumps or branches to a target that is not
-/// 4-byte aligned. The instruction is not retired in that case, and no
-/// register is written.
+/// widths, for taken jumps or branches to a target that is not 4-byte
+/// aligned, and for data accesses that run past the top of the address
+/// space. The instruction is not retired in that case, and neither
+/// memory nor any register is written.
 pub fn execute(
     hart: &mut Hart,
     mem: &mut SparseMemory,
@@ -330,11 +374,12 @@ pub fn execute(
             rs1,
             offset,
         } => {
-            let addr = hart.x(rs1).wrapping_add(offset as i64 as u64);
+            let size = width.bytes() as u8;
+            let addr = access_addr(hart.x(rs1).wrapping_add(offset as i64 as u64), size)?;
             hart.set_x(rd, load_value(mem, addr, width, signed));
             accesses.push(MemAccess {
                 addr,
-                size: width.bytes() as u8,
+                size,
                 write: false,
                 rmw: false,
             });
@@ -346,11 +391,12 @@ pub fn execute(
             rs1,
             offset,
         } => {
-            let addr = hart.x(rs1).wrapping_add(offset as i64 as u64);
+            let size = width.bytes() as u8;
+            let addr = access_addr(hart.x(rs1).wrapping_add(offset as i64 as u64), size)?;
             store_value(mem, addr, width, hart.x(rs2));
             accesses.push(MemAccess {
                 addr,
-                size: width.bytes() as u8,
+                size,
                 write: true,
                 rmw: false,
             });
@@ -408,7 +454,8 @@ pub fn execute(
             rs1,
             rs2,
         } => {
-            let addr = hart.x(rs1);
+            let size = width.bytes() as u8;
+            let addr = access_addr(hart.x(rs1), size)?;
             let old = load_value(mem, addr, width, true);
             let src = hart.x(rs2);
             let new = match op {
@@ -441,14 +488,14 @@ pub fn execute(
             hart.set_x(rd, if op == AmoOp::Sc { 0 } else { old });
             accesses.push(MemAccess {
                 addr,
-                size: width.bytes() as u8,
+                size,
                 write: is_write,
                 rmw: is_write,
             });
             fx.dest = Some(Dest::X(rd));
         }
         Inst::Fld { rd, rs1, offset } => {
-            let addr = hart.x(rs1).wrapping_add(offset as i64 as u64);
+            let addr = access_addr(hart.x(rs1).wrapping_add(offset as i64 as u64), 8)?;
             hart.set_f_bits(rd, mem.read_u64(addr));
             accesses.push(MemAccess {
                 addr,
@@ -459,7 +506,7 @@ pub fn execute(
             fx.dest = Some(Dest::F(rd));
         }
         Inst::Fsd { rs2, rs1, offset } => {
-            let addr = hart.x(rs1).wrapping_add(offset as i64 as u64);
+            let addr = access_addr(hart.x(rs1).wrapping_add(offset as i64 as u64), 8)?;
             mem.write_u64(addr, hart.f_bits(rs2));
             accesses.push(MemAccess {
                 addr,
@@ -598,6 +645,7 @@ pub fn execute(
             vm,
         } => {
             let base = hart.x(rs1);
+            check_vector_elems(hart, base, mode, eew, vm)?;
             let bytes = eew.bytes();
             for i in 0..hart.vl {
                 if !vm && !hart.v0_mask_bit(i) {
@@ -624,6 +672,7 @@ pub fn execute(
             vm,
         } => {
             let base = hart.x(rs1);
+            check_vector_elems(hart, base, mode, eew, vm)?;
             let bytes = eew.bytes();
             for i in 0..hart.vl {
                 if !vm && !hart.v0_mask_bit(i) {
@@ -980,7 +1029,7 @@ fn vmem_group_len(hart: &Hart, eew: Sew) -> u8 {
 
 fn vector_elem_addr(hart: &Hart, base: u64, mode: VAddrMode, eew: Sew, i: u64) -> u64 {
     match mode {
-        VAddrMode::Unit => base + i * eew.bytes(),
+        VAddrMode::Unit => base.wrapping_add(i * eew.bytes()),
         VAddrMode::Strided(rs2) => base.wrapping_add(hart.x(rs2).wrapping_mul(i)),
         VAddrMode::Indexed(vs2) => base.wrapping_add(hart.v_elem(vs2, i, eew.bytes())),
     }

@@ -33,7 +33,6 @@
 //! boundary cannot be silently bypassed.
 
 use coyote_isa::superblock::FuseClass;
-use coyote_isa::{sweep_conflicts, AccessInterval};
 
 use crate::cache::Cache;
 use crate::core::DecodedText;
@@ -74,11 +73,14 @@ pub enum FuseStop {
     /// A store lands in the text segment (self-modifying code takes
     /// the per-instruction path so invalidation fires).
     TextStore,
+    /// An access runs past the top of the address space; the
+    /// per-instruction path raises the fault at its own cycle.
+    AddressWrap,
 }
 
 impl FuseStop {
     /// All stop reasons, in a fixed export order.
-    pub const ALL: [FuseStop; 7] = [
+    pub const ALL: [FuseStop; 8] = [
         FuseStop::RunEnd,
         FuseStop::TooShort,
         FuseStop::ScoreboardBusy,
@@ -86,6 +88,7 @@ impl FuseStop {
         FuseStop::LineNotResident,
         FuseStop::BaseWritten,
         FuseStop::TextStore,
+        FuseStop::AddressWrap,
     ];
 
     /// Number of stop reasons (sizes per-reason counter arrays).
@@ -102,6 +105,7 @@ impl FuseStop {
             FuseStop::LineNotResident => "line_not_resident",
             FuseStop::BaseWritten => "base_written",
             FuseStop::TextStore => "text_store",
+            FuseStop::AddressWrap => "address_wrap",
         }
     }
 }
@@ -279,6 +283,10 @@ pub fn validate_run_stop(
                 .hart
                 .x(plan.base)
                 .wrapping_add(plan.offset as i64 as u64);
+            if addr.checked_add(u64::from(plan.size)).is_none() {
+                stop = FuseStop::AddressWrap;
+                break;
+            }
             let Some(way) = ctx.dcache.probe_way(addr) else {
                 stop = FuseStop::LineNotResident;
                 break;
@@ -317,8 +325,11 @@ pub fn validate_run_stop(
 
 /// Whether any access in `a`'s first `a_limit` positions overlaps any
 /// access in `b`'s first `b_limit` positions at byte granularity with
-/// at least one side writing. Used by the orchestrator to prove that a
-/// multi-cycle window's cores touch disjoint memory.
+/// at least one side writing.
+///
+/// A deliberately naive pairwise loop, independent of the orchestrator's
+/// write-anchored check (`coyote_isa::cross_owner_conflict`), which
+/// debug builds cross-check against it on every multi-core chunk.
 #[must_use]
 pub fn accesses_conflict(
     a: &[FusedAccess],
@@ -328,18 +339,14 @@ pub fn accesses_conflict(
     b_skip: u32,
     b_limit: u32,
 ) -> bool {
-    let mut intervals: Vec<AccessInterval> = Vec::new();
-    let windowed = |accesses: &[FusedAccess], skip: u32, limit: u32, owner: usize| {
-        accesses
-            .iter()
-            .filter(move |x| x.pos >= skip && x.pos < skip + limit)
-            .map(move |x| AccessInterval::new(x.addr, u64::from(x.size), owner, x.write))
-            .collect::<Vec<_>>()
-    };
-    intervals.extend(windowed(a, a_skip, a_limit, 0));
-    intervals.extend(windowed(b, b_skip, b_limit, 1));
-    let mut open = Vec::new();
-    sweep_conflicts(&mut intervals, &mut open)
+    let in_window = |x: &FusedAccess, skip: u32, limit: u32| x.pos >= skip && x.pos - skip < limit;
+    a.iter().filter(|x| in_window(x, a_skip, a_limit)).any(|x| {
+        b.iter().filter(|y| in_window(y, b_skip, b_limit)).any(|y| {
+            (x.write || y.write)
+                && x.addr < y.addr.saturating_add(u64::from(y.size))
+                && y.addr < x.addr.saturating_add(u64::from(x.size))
+        })
+    })
 }
 
 #[cfg(test)]

@@ -350,9 +350,9 @@ fn console_output_via_write_ecall() {
     assert_eq!(core.console(), b"Hi");
 }
 
-/// Runs `src` until a step faults; returns the core and the fault.
-/// Misses are serviced immediately, as in [`run`].
-fn run_to_fault(src: &str) -> (Core, SimError) {
+/// Runs `src` until a step faults; returns the core, memory and the
+/// fault. Misses are serviced immediately, as in [`run`].
+fn run_to_fault(src: &str) -> (Core, SparseMemory, SimError) {
     let program = coyote_asm::assemble(src).unwrap_or_else(|e| panic!("asm: {e}"));
     let mut mem = SparseMemory::new();
     mem.load_program(&program);
@@ -366,7 +366,7 @@ fn run_to_fault(src: &str) -> (Core, SimError) {
         );
         if core.state() == CoreState::Active {
             if let Err(e) = core.step(&mut mem, &text, cycle, &mut misses) {
-                return (core, e);
+                return (core, mem, e);
             }
         }
         for miss in misses.drain(..) {
@@ -390,7 +390,7 @@ fn misaligned_jump_targets_fault_at_the_jump() {
         ("_start:\n nop\n beq zero, zero, -2", |pc| pc - 2),
     ];
     for (src, expected) in cases {
-        let (core, err) = run_to_fault(src);
+        let (core, _, err) = run_to_fault(src);
         // Every case's jump is its last instruction.
         let program = coyote_asm::assemble(src).expect("assembles");
         let jump_pc = program.text_base() + 4 * (program.text().len() as u64 - 1);
@@ -421,6 +421,64 @@ fn misaligned_jump_targets_fault_at_the_jump() {
     assert_eq!(
         exit_code("_start:\n li a0, 3\n bne zero, zero, 6\n li a7, 93\n ecall"),
         3
+    );
+}
+
+#[test]
+fn accesses_past_the_top_of_memory_fault_before_any_effect() {
+    // (program, faulting address, access size). A load, a store and a
+    // unit-stride vector load each run past the top of the 64-bit
+    // address space; an access ending exactly at the top counts too,
+    // since its one-past-the-end address does not fit in a u64.
+    let cases = [
+        ("_start:\n li t0, -4\n ld a0, 0(t0)", u64::MAX - 3, 8),
+        ("_start:\n li t0, -8\n ld a0, 0(t0)", u64::MAX - 7, 8),
+        (
+            "_start:\n li t0, -2\n li a0, 0x5555\n sw a0, 0(t0)",
+            u64::MAX - 1,
+            4,
+        ),
+        (
+            "_start:\n li t0, 4\n vsetvli t1, t0, e64,m1,ta,ma\n li t2, -12\n vle64.v v1, (t2)",
+            u64::MAX - 3,
+            8,
+        ),
+    ];
+    for (src, addr, size) in cases {
+        let (core, mem, err) = run_to_fault(src);
+        let program = coyote_asm::assemble(src).expect("assembles");
+        let access_pc = program.text_base() + 4 * (program.text().len() as u64 - 1);
+        match &err {
+            SimError::Exec { pc, source } => {
+                assert_eq!(*pc, access_pc, "{src}");
+                assert_eq!(*source, ExecError::AddressWrap { addr, size }, "{src}");
+            }
+            other => panic!("{src}: expected an address-wrap fault, got {other}"),
+        }
+        assert!(
+            err.to_string()
+                .contains("past the top of the address space"),
+            "{src}: {err}"
+        );
+        assert_eq!(core.hart().pc, access_pc, "{src}: pc moved past the fault");
+        // No register and no byte at either end of memory was written;
+        // the vector load's in-range first element did not land either.
+        if !src.contains("sw") {
+            assert_eq!(core.hart().x(XReg::A0), 0, "{src}: rd written");
+        }
+        assert_eq!(mem.read_u64(u64::MAX - 7), 0, "{src}: top bytes written");
+        assert_eq!(mem.read_u32(0), 0, "{src}: wrapped bytes written");
+        assert_eq!(
+            core.hart()
+                .v_elem(coyote_isa::VReg::new(1).expect("v1"), 0, 8),
+            0,
+            "{src}: vector element written"
+        );
+    }
+    // The highest in-range dword still loads and stores normally.
+    assert_eq!(
+        compute("li t0, -16\n li t1, 7\n sd t1, 0(t0)\n ld a0, 0(t0)"),
+        7
     );
 }
 
