@@ -5,8 +5,8 @@
 //! per-core input, so the text is shared). [`certify`] then tries to
 //! prove that no two cores can ever touch the same byte with at least
 //! one write involved — the exact property the runtime conflict sweep
-//! checks dynamically. A granted certificate lets the simulator skip
-//! that sweep wholesale.
+//! checks dynamically, so on a certified program that sweep never finds
+//! a conflict.
 
 use crate::absint::{interpret, CoreAnalysis, MemAccess};
 use crate::footprint::{disjoint, AccessPattern, Disjoint};

@@ -1,18 +1,17 @@
 //! Guest-binary static analysis for the Coyote simulator.
 //!
-//! The simulator's orchestrator proves at *runtime*, every fused
+//! The simulator's orchestrator checks at *runtime*, every fused
 //! window, that the cores retiring together never touch the same
-//! byte. This crate moves that proof to *load time* when the workload
-//! allows: it recovers a control-flow graph from the predecoded text,
-//! runs a strided-interval abstract interpretation per core (with
-//! `mhartid` concretized, so one SPMD image yields per-core
-//! footprints), and tries to prove all cross-core write/any pairs
-//! disjoint. A granted certificate lets the runtime skip its dynamic
-//! conflict sweep wholesale; any condition the static story cannot
-//! cover (indirect jumps, escapes from text, unresolvable addresses,
-//! atomics, vector memory) denies the certificate and the runtime
-//! keeps its sweep — certification is a pure fast path, never a
-//! soundness trade.
+//! byte. This crate proves the same property *statically* when the
+//! workload allows: it recovers a control-flow graph from the
+//! predecoded text, runs a strided-interval abstract interpretation
+//! per core (with `mhartid` concretized, so one SPMD image yields
+//! per-core footprints), and tries to prove all cross-core write/any
+//! pairs disjoint. A granted certificate is a report about the
+//! workload, cross-checked in tests against the runtime check, which
+//! must never fire on a certified program; any condition the static
+//! story cannot cover (indirect jumps, escapes from text, unresolvable
+//! addresses, atomics, vector memory) denies the certificate.
 //!
 //! The same artifacts power `coyote-check`, a workload linter that
 //! reports dead code, misaligned accesses, stores into the text

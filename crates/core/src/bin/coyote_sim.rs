@@ -23,9 +23,6 @@
 //!                        FILE.folded (flamegraph folded stacks)
 //!   --prof-counters      with --prof-out: deterministic counter clock
 //!                        instead of wall time
-//!   --certify            run the load-time disjointness analysis and skip
-//!                        the runtime conflict sweeps when it proves them
-//!                        redundant (results are bit-identical either way)
 //!   --oracle             co-simulate a functional reference machine and
 //!                        abort on the first architectural divergence
 //!   --status-out FILE    stream live status snapshots (JSON lines) to FILE;
@@ -202,7 +199,6 @@ fn parse_args() -> Result<Options, String> {
                 prof_path = Some(path);
             }
             "--prof-counters" => prof_counters = true,
-            "--certify" => builder = builder.certify(true),
             "--oracle" => builder = builder.oracle(true),
             "--status-out" => {
                 let path = value(&mut args, "--status-out")?;
@@ -255,8 +251,6 @@ fn parse_args() -> Result<Options, String> {
                 println!("  --chrome-trace FILE  write a Chrome trace-event JSON (Perfetto)");
                 println!("  --prof-out FILE      write host profile FILE.json + FILE.folded");
                 println!("  --prof-counters      profile with the deterministic counter clock");
-                println!("  --certify            prove cross-core disjointness statically and");
-                println!("                       skip the runtime conflict sweeps when granted");
                 println!("  --oracle             check against a functional reference machine");
                 println!("  --status-out FILE    stream live status snapshots (watch: coyote-top)");
                 println!("  --status-interval N  milliseconds between snapshots (default 500)");
@@ -408,16 +402,6 @@ fn run(options: &Options) -> Result<i64, String> {
         }
     }
     eprintln!("{report}");
-    if options.config.certify {
-        eprintln!(
-            "certificate: {}",
-            if sim.certificate_active() {
-                "active (runtime conflict sweeps skipped)"
-            } else {
-                "not granted or revoked (runtime conflict sweeps ran)"
-            }
-        );
-    }
 
     if let Some(path) = &options.trace_path {
         let trace = sim.trace().expect("tracing was enabled");

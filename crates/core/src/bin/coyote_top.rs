@@ -40,7 +40,6 @@ const REQUIRED_KEYS: &[&str] = &[
     "cycles_per_sec",
     "eta_seconds",
     "block_hit_rate",
-    "certificate_active",
     "event_pops",
     "halted",
     "cores",
@@ -222,13 +221,8 @@ fn render(snap: &JsonValue) -> String {
         },
     ));
     out.push_str(&format!(
-        "fused coverage {:.1}%  certificate {}  event pops {}  halted {}\n",
+        "fused coverage {:.1}%  event pops {}  halted {}\n",
         get_f64(snap, "block_hit_rate") * 100.0,
-        if matches!(snap.get("certificate_active"), Some(JsonValue::Bool(true))) {
-            "active"
-        } else {
-            "off"
-        },
         get_u64(snap, "event_pops"),
         get_u64(snap, "halted"),
     ));

@@ -93,21 +93,11 @@ pub struct SimConfig {
     /// simulated result — the only observable addition is the
     /// `host_profile` metrics section (property-tested).
     pub profiling: ProfMode,
-    /// Whether to run the static disjointness analysis at load time
-    /// and, when it proves all cross-core write/any access pairs
-    /// disjoint, skip the fused window's runtime cross-core conflict
-    /// sweep. A host-execution knob like `profiling`: the certificate
-    /// is only ever granted when the sweep provably cannot fire, so
-    /// every simulated result is bit-identical either way
-    /// (property-tested); it never appears in the determinism digest
-    /// or `config_json`. Off by default — the analysis costs load
-    /// time on workloads that may not earn a certificate.
-    pub certify: bool,
 }
 
 /// How the host-side self-profiler observes the orchestrator.
 ///
-/// A host-execution knob like [`SimConfig::certify`]: excluded from the
+/// A host-execution knob like [`SimConfig::fusion`]: excluded from the
 /// determinism digest and from `config_json`, and forbidden from
 /// feeding back into simulated state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -152,7 +142,6 @@ impl Default for SimConfig {
             attribution_top_k: 32,
             fusion: true,
             profiling: ProfMode::Off,
-            certify: false,
         }
     }
 }
@@ -446,15 +435,6 @@ impl SimConfigBuilder {
     #[must_use]
     pub fn profiling(mut self, mode: ProfMode) -> Self {
         self.config.profiling = mode;
-        self
-    }
-
-    /// Enables or disables load-time disjointness certification (off
-    /// by default; a granted certificate skips the runtime conflict
-    /// sweep without changing any simulated result).
-    #[must_use]
-    pub fn certify(mut self, certify: bool) -> Self {
-        self.config.certify = certify;
         self
     }
 

@@ -92,8 +92,6 @@ pub enum FlightKind {
     },
     /// A fused window stopped on a cross-core access conflict.
     WindowConflict,
-    /// A text-segment store revoked the disjointness certificate.
-    CertificateRevoked,
     /// A text-segment store invalidated predecoded entries.
     TextInvalidate {
         /// First patched byte address.
@@ -134,7 +132,6 @@ impl fmt::Display for FlightEvent {
                 )
             }
             FlightKind::WindowConflict => write!(f, "fused window cross-core conflict"),
-            FlightKind::CertificateRevoked => write!(f, "disjointness certificate revoked"),
             FlightKind::TextInvalidate { addr } => {
                 write!(f, "text store invalidated predecode at {addr:#x}")
             }
@@ -166,7 +163,6 @@ impl FlightEvent {
                 .with("core", core)
                 .with("stop", stop.name()),
             FlightKind::WindowConflict => with_kind(base, "window_conflict"),
-            FlightKind::CertificateRevoked => with_kind(base, "certificate_revoked"),
             FlightKind::TextInvalidate { addr } => {
                 with_kind(base, "text_invalidate").with("addr", addr)
             }
@@ -280,11 +276,11 @@ mod tests {
         let mut rec = FlightRecorder::new();
         rec.record(1, FlightKind::WindowConflict);
         rec.record(2, FlightKind::Halt { core: 3, code: 0 });
-        rec.record(3, FlightKind::CertificateRevoked);
+        rec.record(3, FlightKind::TextInvalidate { addr: 0x80 });
         let lines = rec.tail_lines(2);
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("core 3 halted"));
-        assert!(lines[1].contains("certificate revoked"));
+        assert!(lines[1].contains("invalidated predecode at 0x80"));
     }
 
     #[test]

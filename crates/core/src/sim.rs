@@ -261,13 +261,6 @@ pub struct Simulation {
     /// orchestrator, never the other way around — profiled and
     /// unprofiled runs are bit-identical (property-tested).
     prof: Option<HostProf>,
-    /// Load-time disjointness certificate, present when
-    /// [`SimConfig::certify`] is on and the static analysis proved all
-    /// cross-core write/any access pairs disjoint. While valid (the
-    /// predecode generation still matches), the fused window's runtime
-    /// conflict sweep is skipped; any text-segment store revokes it for
-    /// the rest of the run.
-    cert: Option<Certificate>,
     /// Live status stream, attached via [`Simulation::set_status`]. A
     /// host knob like `profiling`: deliberately outside
     /// [`SimConfig`] (and therefore outside `config_json` and the
@@ -285,15 +278,6 @@ pub struct Simulation {
     /// delivery, stranding its waiter forever — the only way to produce
     /// a genuine [`RunError::Deadlock`] in a correct hierarchy.
     debug_drop_next_load_fill: bool,
-}
-
-/// A granted disjointness certificate, pinned to the predecode
-/// generation it was proven against.
-#[derive(Debug, Clone, Copy)]
-struct Certificate {
-    /// [`DecodedText::generation`] at proof time; a mismatch means the
-    /// text was patched after the proof and the certificate is void.
-    text_gen: u64,
 }
 
 /// The profile counter charged when a multi-core fused window stops
@@ -356,28 +340,6 @@ impl Simulation {
         let cores = (0..config.cores)
             .map(|i| Core::new(i, program.entry(), &core_config))
             .collect();
-        let cert = if config.certify {
-            let analysis_span = prof.as_mut().map(|p| p.enter("analysis"));
-            let outcome = coyote_analysis::certify(program, config.cores);
-            if let Some(p) = &mut prof {
-                if let Some(span) = analysis_span {
-                    p.exit(span);
-                }
-                p.bump(
-                    if outcome.granted {
-                        "certificate/granted"
-                    } else {
-                        "certificate/denied"
-                    },
-                    1,
-                );
-            }
-            outcome.granted.then(|| Certificate {
-                text_gen: text.generation(),
-            })
-        } else {
-            None
-        };
         let mut hierarchy = Hierarchy::new(config.hierarchy())
             .map_err(|m| RunError::Config(ConfigError::new(m)))?;
         if config.telemetry {
@@ -412,7 +374,6 @@ impl Simulation {
             woken_buf: Vec::new(),
             window_intervals: Vec::new(),
             prof,
-            cert,
             status: None,
             flight: FlightRecorder::new(),
             stop: None,
@@ -461,16 +422,6 @@ impl Simulation {
     #[must_use]
     pub fn memory_mut(&mut self) -> &mut SparseMemory {
         &mut self.mem
-    }
-
-    /// Whether a load-time disjointness certificate is currently in
-    /// force: granted at construction (see [`SimConfig::certify`]) and
-    /// not yet revoked by a text-segment store. While active, the fused
-    /// window's runtime conflict sweep is skipped.
-    #[must_use]
-    pub fn certificate_active(&self) -> bool {
-        self.cert
-            .is_some_and(|c| c.text_gen == self.text.generation())
     }
 
     /// The simulated cores.
@@ -745,7 +696,6 @@ impl Simulation {
             } else {
                 fused as f64 / retired as f64
             },
-            certificate_active: self.certificate_active(),
             event_pops: self.hierarchy.event_pops(),
             halted: self.halted as u64,
             cores,
@@ -848,7 +798,6 @@ impl Simulation {
             .with("stalls", JsonValue::Array(stalls))
             .with("mshr_occupancy", JsonValue::Array(mshr))
             .with("hostprof_phases", JsonValue::Array(phases))
-            .with("certificate_active", self.certificate_active())
             .with("event_pops", self.hierarchy.event_pops())
             .with("flight_recorder", self.flight.to_json())
     }
@@ -1315,11 +1264,6 @@ impl Simulation {
     /// every core reads a shared operand in lockstep. Otherwise the
     /// write-anchored [`cross_owner_conflict`] decides.
     fn window_conflicts(&mut self, actives: &[usize], window: u32) -> bool {
-        // Certified workloads proved cross-core disjointness statically
-        // — the check below cannot fire, so don't pay for it.
-        if self.certificate_active() {
-            return false;
-        }
         let cores = &self.cores;
         let writes = actives
             .iter()
@@ -1403,15 +1347,6 @@ impl Simulation {
         }
         for core in &mut self.cores {
             core.abort_fused_run();
-        }
-        // The static proof was over the pre-patch text: revoke the
-        // certificate for the rest of the run (the generation check in
-        // `certificate_active` would catch this too; dropping the
-        // certificate makes the revocation explicit and permanent).
-        if self.cert.take().is_some() {
-            self.flight
-                .record(self.cycle, FlightKind::CertificateRevoked);
-            self.prof_bump("certificate/revoked", 1);
         }
         self.prof_exit(span);
     }

@@ -1,14 +1,13 @@
-//! Equivalence tests for static disjointness certificates: a certified
-//! run skips the dynamic fused-window conflict sweep, so it must be
-//! bit-identical to the swept schedule — same determinism digest,
-//! byte-identical metrics JSON — with and without the oracle and under
-//! schedule perturbation. A contended kernel must be *denied* the
-//! certificate, and its runs must also stay identical (the flag alone
-//! changes nothing).
+//! Dynamic cross-check of static disjointness certificates: whenever
+//! `coyote_analysis::certify` grants a program, the simulator's runtime
+//! cross-core conflict check — the only conflict answer a multi-core
+//! fused window has — must never fire on it, under any core count or
+//! schedule perturbation. The check must also have had something to
+//! decide (write-bearing chunks were checked), and on a contended
+//! kernel, which the analysis must deny, it must fire — so a zero on a
+//! granted program is evidence, not a counter that never moves.
 
-use std::time::Duration;
-
-use coyote::{SimConfig, Simulation};
+use coyote::{ProfMode, SimConfig, Simulation};
 use proptest::prelude::*;
 
 /// Hart-partitioned kernel: each hart read-modify-writes its own
@@ -37,7 +36,7 @@ const PARTITIONED: &str = "
 
 /// Contended kernel: every hart read-modify-writes the SAME dword.
 /// The write footprints provably intersect, so no certificate may be
-/// granted and the dynamic sweep must keep running.
+/// granted, and the runtime check has real conflicts to find.
 const CONTENDED: &str = "
     .data
     hot: .dword 0
@@ -56,98 +55,85 @@ const CONTENDED: &str = "
         li a7, 93
         ecall";
 
-struct RunResult {
-    digest: u64,
-    metrics: String,
-    certified: bool,
-    exits: Option<Vec<i64>>,
+/// The static verdict on a program and what the runtime conflict check
+/// recorded while running it.
+struct CrossCheck {
+    granted: bool,
+    conflicts: u64,
+    checks: u64,
+    write_free: u64,
 }
 
-fn run(src: &str, cores: usize, certify: bool, perturb: u64, oracle: bool) -> RunResult {
+/// Certifies `src` for `cores` harts, then runs it counter-profiled
+/// (no oracle, so the fused-window path runs) under `perturb`. A
+/// counter the run never bumped reads 0.
+fn cross_check(src: &str, cores: usize, perturb: u64) -> CrossCheck {
     let program = coyote_asm::assemble(src).expect("assemble");
+    let granted = coyote_analysis::certify(&program, cores).granted;
     let config = SimConfig::builder()
         .cores(cores)
-        .certify(certify)
         .perturb_seed(perturb)
-        .oracle(oracle)
-        .telemetry(true)
-        .metrics_interval(64)
+        .profiling(ProfMode::Counter)
         .build()
         .expect("valid config");
     let mut sim = Simulation::new(config, &program).expect("create sim");
-    let mut report = sim.run().expect("run completes");
-    report.wall_time = Duration::ZERO;
-    RunResult {
-        digest: sim.determinism_digest(),
-        metrics: coyote::metrics_json(&sim, &report).to_string_pretty(),
-        certified: sim.certificate_active(),
-        exits: report.exit_codes(),
+    sim.run().expect("run completes");
+    let prof = sim.host_prof().expect("profiling is on");
+    CrossCheck {
+        granted,
+        conflicts: prof.counter("window/cross_core_conflict"),
+        checks: prof.counter("window/conflict_checks"),
+        write_free: prof.counter("window/write_free_checks"),
     }
 }
 
 #[test]
-fn partitioned_kernel_earns_a_certificate_and_matches_the_swept_run() {
-    let swept = run(PARTITIONED, 4, false, 0, true);
+fn granted_program_never_conflicts_at_runtime() {
+    let run = cross_check(PARTITIONED, 4, 0);
     assert!(
-        !swept.certified,
-        "certify off must never report a certificate"
-    );
-    let certified = run(PARTITIONED, 4, true, 0, true);
-    assert!(
-        certified.certified,
+        run.granted,
         "hart-partitioned slices must be statically separable"
     );
-    assert_eq!(certified.exits, swept.exits);
-    assert_eq!(certified.digest, swept.digest, "certified digest diverged");
-    assert_eq!(
-        certified.metrics, swept.metrics,
-        "certified metrics bytes diverged"
+    assert_eq!(run.conflicts, 0, "runtime conflict on a certified program");
+    assert!(
+        run.checks > run.write_free,
+        "no write-bearing chunk was checked ({} checks, {} write-free)",
+        run.checks,
+        run.write_free
     );
 }
 
 #[test]
-fn contended_kernel_is_denied_a_certificate() {
-    let swept = run(CONTENDED, 4, false, 0, true);
-    let flagged = run(CONTENDED, 4, true, 0, true);
+fn denied_program_conflicts_at_runtime() {
+    let run = cross_check(CONTENDED, 4, 0);
     assert!(
-        !flagged.certified,
+        !run.granted,
         "provably intersecting write footprints must be denied"
     );
-    // Denial means the sweep keeps running; nothing may change.
-    assert_eq!(flagged.digest, swept.digest);
-    assert_eq!(flagged.metrics, swept.metrics);
-}
-
-#[test]
-fn certificate_holds_through_fused_windows() {
-    // Without the oracle the fused-window path runs, whose
-    // `window_conflicts` sweep is certificate-gated; the window
-    // outcome must still be bit-identical to the swept schedule.
-    let swept = run(PARTITIONED, 4, false, 0, false);
-    let certified = run(PARTITIONED, 4, true, 0, false);
-    assert!(certified.certified);
-    assert_eq!(certified.digest, swept.digest);
-    assert_eq!(certified.metrics, swept.metrics);
+    assert!(run.conflicts > 0, "the runtime conflict check never fired");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn certified_runs_match_under_perturbation(
+    fn certificate_agrees_with_the_runtime_check(
         perturb in any::<u64>(),
         cores in 2usize..7,
         contended in proptest::bool::ANY,
     ) {
         let src = if contended { CONTENDED } else { PARTITIONED };
-        let swept = run(src, cores, false, perturb, false);
-        let certified = run(src, cores, true, perturb, false);
+        let run = cross_check(src, cores, perturb);
         // Exactly the separable kernel earns the certificate (for a
         // single core there is no other footprint to intersect, so the
         // contended kernel is trivially separable too — cores >= 2
         // keeps the expectation strict).
-        prop_assert_eq!(certified.certified, !contended);
-        prop_assert_eq!(certified.digest, swept.digest, "digest diverged");
-        prop_assert_eq!(certified.metrics, swept.metrics, "metrics bytes diverged");
+        prop_assert_eq!(run.granted, !contended);
+        if run.granted {
+            prop_assert_eq!(run.conflicts, 0, "runtime conflict on a certified program");
+            prop_assert!(run.checks > run.write_free, "no write-bearing chunk was checked");
+        } else {
+            prop_assert!(run.conflicts > 0, "the runtime conflict check never fired");
+        }
     }
 }

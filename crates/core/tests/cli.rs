@@ -99,6 +99,54 @@ fn bad_arguments_fail_cleanly() {
 }
 
 #[test]
+fn certify_is_an_unknown_argument() {
+    let path = write_temp_program(
+        "certify.s",
+        "_start:
+            li a0, 0
+            li a7, 93
+            ecall",
+    );
+    let output = Command::new(sim_binary())
+        .arg(&path)
+        .arg("--certify")
+        .output()
+        .expect("spawn coyote-sim");
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("unknown argument"), "stderr: {stderr}");
+}
+
+#[test]
+fn malformed_mesh_is_a_config_error_not_a_panic() {
+    let path = write_temp_program(
+        "bad-mesh.s",
+        "_start:
+            li a0, 0
+            li a7, 93
+            ecall",
+    );
+    for args in [
+        &["--mesh", "0x0"][..],
+        &["--mesh", "1x0"],
+        &["--cores", "16", "--mesh", "1x1"],
+    ] {
+        let output = Command::new(sim_binary())
+            .arg(&path)
+            .args(args)
+            .output()
+            .expect("spawn coyote-sim");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("invalid simulation config: mesh"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn assembly_errors_point_at_the_line() {
     let path = write_temp_program(
         "broken.s",

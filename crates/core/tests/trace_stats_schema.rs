@@ -7,6 +7,7 @@
 
 use std::io::Write;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use coyote::JsonValue;
 
@@ -21,10 +22,15 @@ const SAMPLE_PRV: &str = "#Paraver (01/01/2021 at 00:00):101:1(2):1:2(1:1,1:1)
 2:2:1:2:1:80:42000001:4:42000002:8256:42000003:0
 ";
 
+/// Distinguishes the trace files of calls running concurrently on the
+/// test harness's threads, which share one process id.
+static CALLS: AtomicUsize = AtomicUsize::new(0);
+
 fn stats_json() -> JsonValue {
     let dir = std::env::temp_dir().join("coyote-trace-stats-golden");
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    let prv = dir.join("sample.prv");
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let prv = dir.join(format!("{}-{call}.prv", std::process::id()));
     let mut file = std::fs::File::create(&prv).expect("create prv");
     file.write_all(SAMPLE_PRV.as_bytes()).expect("write prv");
     drop(file);
@@ -39,6 +45,7 @@ fn stats_json() -> JsonValue {
         "stderr: {}",
         String::from_utf8_lossy(&output.stderr)
     );
+    let _ = std::fs::remove_file(&prv);
     coyote::parse_json(&String::from_utf8_lossy(&output.stdout)).expect("valid JSON")
 }
 

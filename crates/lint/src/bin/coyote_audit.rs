@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! coyote-audit --lint [--root DIR] [--baseline FILE] [--json | --format json]
-//! coyote-audit --race --config NAME [--perturb-seed N] [--profile] [--certify] [--json]
+//! coyote-audit --race --config NAME [--perturb-seed N] [--profile] [--status] [--json]
 //! coyote-audit --race --all [--json]
 //! ```
 //!
@@ -16,11 +16,7 @@
 //! `coyote_lint::race`); exit code 1 means a schedule race. With
 //! `--profile` both runs carry counter-mode host profiling, extending
 //! the byte-for-byte metrics diff over the `host_profile` section.
-//! With `--certify` the perturbed run carries a static disjointness
-//! certificate while the baseline keeps the dynamic conflict sweep, so
-//! the same diff proves the certified fast path is
-//! observationally identical down to digest and metrics bytes. With
-//! `--status` both runs stream live status snapshots to a temp file
+//! With `--status` both runs stream live status snapshots to a temp file
 //! while being diffed, so the same diff proves the introspection plane
 //! is observation-only.
 
@@ -34,7 +30,7 @@ use coyote_lint::race::{self, CONFIG_NAMES};
 const USAGE: &str =
     "usage: coyote-audit --lint [--root DIR] [--baseline FILE] [--json | --format json]
        coyote-audit --race (--config NAME | --all) [--perturb-seed N] [--profile] \
-[--certify] [--status] [--json]";
+[--status] [--json]";
 
 struct Args {
     lint: bool,
@@ -44,7 +40,6 @@ struct Args {
     configs: Vec<String>,
     perturb_seed: u64,
     profile: bool,
-    certify: bool,
     status: bool,
     json: bool,
     format_json: bool,
@@ -59,7 +54,6 @@ fn parse_args() -> Result<Args, String> {
         configs: Vec::new(),
         perturb_seed: 0,
         profile: false,
-        certify: false,
         status: false,
         json: false,
         format_json: false,
@@ -70,7 +64,6 @@ fn parse_args() -> Result<Args, String> {
             "--lint" => args.lint = true,
             "--race" => args.race = true,
             "--profile" => args.profile = true,
-            "--certify" => args.certify = true,
             "--status" => args.status = true,
             "--json" => args.json = true,
             "--format" => {
@@ -107,9 +100,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.race && args.configs.is_empty() {
         return Err(format!("--race needs --config NAME or --all\n{USAGE}"));
-    }
-    if args.certify && !args.race {
-        return Err(format!("--certify requires --race\n{USAGE}"));
     }
     if args.status && !args.race {
         return Err(format!("--status requires --race\n{USAGE}"));
@@ -173,14 +163,7 @@ fn run_race(args: &Args) -> Result<bool, String> {
     let mut clean = true;
     let mut reports = Vec::new();
     for name in &args.configs {
-        let outcome = race::check(
-            name,
-            args.perturb_seed,
-            args.profile,
-            args.certify,
-            args.status,
-            false,
-        )?;
+        let outcome = race::check(name, args.perturb_seed, args.profile, args.status, false)?;
         if args.json {
             reports.push(outcome.to_json());
         } else if let Some(divergence) = &outcome.divergence {
@@ -208,11 +191,10 @@ fn run_race(args: &Args) -> Result<bool, String> {
                 outcome.config,
                 outcome.cycles,
                 outcome.perturb_seed,
-                match (outcome.certified, outcome.status) {
-                    (true, true) => ", certified, status-streamed",
-                    (true, false) => ", certified",
-                    (false, true) => ", status-streamed",
-                    (false, false) => "",
+                if outcome.status {
+                    ", status-streamed"
+                } else {
+                    ""
                 }
             );
         }

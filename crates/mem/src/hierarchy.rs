@@ -90,6 +90,17 @@ impl HierarchyConfig {
         if self.tiles == 0 || self.banks_per_tile == 0 {
             return Err("tiles and banks_per_tile must be positive".to_owned());
         }
+        if let NocModel::Mesh { width, height, .. } = self.noc {
+            if width
+                .checked_mul(height)
+                .is_none_or(|slots| slots < self.tiles)
+            {
+                return Err(format!(
+                    "mesh {width}x{height} cannot hold {} tiles",
+                    self.tiles
+                ));
+            }
+        }
         self.l2.validate()?;
         self.mc.validate()?;
         Ok(())
@@ -880,6 +891,25 @@ mod tests {
             h.advance(now, &mut out);
         }
         (now, out)
+    }
+
+    #[test]
+    fn mesh_too_small_for_the_tiles_is_rejected() {
+        let mesh = |width, height| HierarchyConfig {
+            noc: NocModel::Mesh {
+                width,
+                height,
+                hop_latency: 2,
+                base_latency: 4,
+            },
+            ..config()
+        };
+        for (width, height) in [(0, 0), (1, 0), (0, 2), (1, 1), (usize::MAX, 2)] {
+            let err = Hierarchy::new(mesh(width, height)).unwrap_err();
+            assert!(err.contains(&format!("mesh {width}x{height}")), "{err}");
+        }
+        assert!(Hierarchy::new(mesh(2, 1)).is_ok());
+        assert!(Hierarchy::new(mesh(usize::MAX, 1)).is_ok());
     }
 
     #[test]

@@ -57,8 +57,10 @@ pub use topk::{PcEntry, TopK};
 /// graceful stop cut the run short) and the status-snapshot lines
 /// emitted by [`live`], which carry the same version. v6 removed the
 /// parallel-phase conflict-fallback counter from the status snapshot
-/// (and the crash dump), retired together with that execute phase.
-pub const SCHEMA_VERSION: u64 = 6;
+/// (and the crash dump), retired together with that execute phase. v7
+/// removed `certificate_active` from the status snapshot and the crash
+/// dump, retired together with runtime certification.
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// A stage of the request lifecycle through the memory hierarchy.
 ///

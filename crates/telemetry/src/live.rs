@@ -75,8 +75,6 @@ pub struct StatusSnapshot {
     pub retired: u64,
     /// Fraction of retirements through the superblock fused path.
     pub block_hit_rate: f64,
-    /// Whether a static disjointness certificate is currently in force.
-    pub certificate_active: bool,
     /// Events popped from the hierarchy event queue so far.
     pub event_pops: u64,
     /// Cores halted so far.
@@ -263,7 +261,6 @@ impl StatusEmitter {
             .with("cycles_per_sec", cycles_per_sec)
             .with("eta_seconds", eta_seconds)
             .with("block_hit_rate", snap.block_hit_rate)
-            .with("certificate_active", snap.certificate_active)
             .with("event_pops", snap.event_pops)
             .with("halted", snap.halted)
             .with("cores", JsonValue::Array(cores))
@@ -291,7 +288,6 @@ mod tests {
             max_cycles: 1_000_000,
             retired,
             block_hit_rate: 0.5,
-            certificate_active: false,
             event_pops: 7,
             halted: 0,
             cores: vec![CoreStatus {
